@@ -197,13 +197,16 @@ def _cmd_rep_build(args):
     return result, None, None
 
 
-def _cmd_rep_verify(args):
-    rep = _extract_rep(_load_json(args.infile))
-    report = verify_relations(rep.k_mat, rep.e_plus, rep.e_minus, rep.root, args.tol)
+def _verify(rep, tol):
+    report = verify_relations(rep.k_mat, rep.e_plus, rep.e_minus, rep.root, tol)
     result = report.to_json()
     if not report.passed:
         result["failures"] = report.failing()
     return result, report.passed, None
+
+
+def _cmd_rep_verify(args):
+    return _verify(_extract_rep(_load_json(args.infile)), args.tol)
 
 
 def _cmd_rep_intertwine(args):
@@ -250,12 +253,7 @@ def _cmd_ladder_build(args):
 
 
 def _cmd_ladder_verify(args):
-    rep = _ladder_rep_from_args(args)
-    report = verify_relations(rep.k_mat, rep.e_plus, rep.e_minus, rep.root, args.tol)
-    result = report.to_json()
-    if not report.passed:
-        result["failures"] = report.failing()
-    return result, report.passed, None
+    return _verify(_ladder_rep_from_args(args), args.tol)
 
 
 def _cmd_ladder_cyclicity(args):
@@ -281,8 +279,8 @@ def _cmd_ladder_cyclicity(args):
 
 
 def _cmd_ff_eval(args):
-    cf = StandardCF(tuple(args.coeffs)) if args.form == "standard" else PositiveCF(tuple(args.coeffs))
-    nu = eval_standard_cf(cf) if args.form == "standard" else eval_positive_cf(cf)
+    cls, evaluate = (StandardCF, eval_standard_cf) if args.form == "standard" else (PositiveCF, eval_positive_cf)
+    nu = evaluate(cls(tuple(args.coeffs)))
     return {"nu": str(nu), "num": nu.num, "den": nu.den}, None, None
 
 

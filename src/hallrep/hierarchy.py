@@ -8,17 +8,22 @@ coefficient schemes evaluate to a filling factor:
 * positive form: nu = 1/(p0 + 1/(p1 + ... + 1/pr)) with p0 odd positive and
   the later coefficients even positive.
 
-The standard form reaches every odd-denominator rational in (0, 1]; the
-positive form provably does not (3/5 is the smallest miss), so decompose
-fails loudly there instead of pretending.  Every computation in this module
-is exact integer or Fraction arithmetic; floats are deliberately absent.
+Both forms share one validator, one evaluator and one decomposition loop;
+they differ only in the sign between levels and the rule for the trailing
+coefficients.  The standard form reaches every odd-denominator rational in
+(0, 1], though near-1/2 fractions need long expansions, and decompose
+raises for those past MAX_DEPTH + 1 = 65 terms.  The positive form is
+unique when it exists and provably does not always exist (3/5 is the
+smallest miss), so decompose fails loudly there instead of pretending.
+Every computation in this module is exact integer or Fraction arithmetic;
+floats are deliberately absent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, gcd
+from math import ceil, gcd
 
 __all__ = [
     "MAX_DEPTH",
@@ -40,7 +45,7 @@ MAX_DEPTH = 64
 
 
 class DecompositionError(ValueError):
-    """No coefficient sequence of the requested form exists within the depth bound."""
+    """No coefficient sequence of the requested form exists, or none within MAX_DEPTH + 1 terms."""
 
 
 @dataclass(frozen=True)
@@ -70,7 +75,11 @@ class FillingFactor:
 
     @classmethod
     def parse(cls, text: str) -> "FillingFactor":
-        return cls.from_fraction(Fraction(text.strip()))
+        try:
+            frac = Fraction(text.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"filling factor {text.strip()} has a zero denominator") from None
+        return cls.from_fraction(frac)
 
     @property
     def value(self) -> Fraction:
@@ -81,8 +90,12 @@ class FillingFactor:
 
 
 @dataclass(frozen=True)
-class StandardCF:
-    """Standard-form coefficients: a0 odd positive, the rest even nonzero."""
+class _ContinuedFraction:
+    """Coefficients c0 odd positive, then trailing ones under the form's rule.
+
+    A form fixes the sign s in nu = 1/(c0 + s/(c1 + s/(... + s/cr))) and
+    the rule for the trailing coefficients.
+    """
 
     coefficients: tuple[int, ...]
 
@@ -94,29 +107,42 @@ class StandardCF:
         if cs[0] < 1 or cs[0] % 2 == 0:
             raise ValueError(f"leading coefficient must be odd positive, got {cs[0]}")
         for c in cs[1:]:
-            if c == 0 or c % 2:
-                raise ValueError(f"trailing coefficients must be even and nonzero, got {c}")
+            if c % 2 or not self._trailing_ok(c):
+                raise ValueError(f"trailing coefficients must be {self._trailing_rule}, got {c}")
 
 
 @dataclass(frozen=True)
-class PositiveCF:
+class StandardCF(_ContinuedFraction):
+    """Standard-form coefficients: a0 odd positive, the rest even nonzero."""
+
+    _sign = -1
+    _trailing_rule = "even and nonzero"
+
+    @staticmethod
+    def _trailing_ok(c: int) -> bool:
+        return c != 0
+
+
+@dataclass(frozen=True)
+class PositiveCF(_ContinuedFraction):
     """Positive-form coefficients: p0 odd positive, the rest even positive."""
 
-    coefficients: tuple[int, ...]
+    _sign = 1
+    _trailing_rule = "even positive"
 
-    def __post_init__(self):
-        object.__setattr__(self, "coefficients", tuple(int(c) for c in self.coefficients))
-        cs = self.coefficients
-        if not cs:
-            raise ValueError("coefficient list is empty")
-        if cs[0] < 1 or cs[0] % 2 == 0:
-            raise ValueError(f"leading coefficient must be odd positive, got {cs[0]}")
-        for c in cs[1:]:
-            if c < 2 or c % 2:
-                raise ValueError(f"trailing coefficients must be even positive, got {c}")
+    @staticmethod
+    def _trailing_ok(c: int) -> bool:
+        return c >= 2
 
 
-def _as_filling_factor(nu: Fraction, cs) -> FillingFactor:
+def _evaluate(cs: tuple[int, ...], sign: int) -> FillingFactor:
+    """nu = 1/(c0 + s/(c1 + s/(... + s/cr))) exactly, innermost level first."""
+    nu = Fraction(0)  # reciprocal of the level below the current one
+    for c in reversed(cs):
+        x = c + sign * nu
+        if x == 0:
+            raise ValueError(f"zero intermediate denominator while evaluating {list(cs)}")
+        nu = 1 / x
     if not 0 < nu <= 1:
         raise ValueError(f"coefficients {list(cs)} evaluate to {nu}, outside (0, 1]")
     return FillingFactor(nu.numerator, nu.denominator)
@@ -126,104 +152,70 @@ def eval_standard_cf(cf: StandardCF) -> FillingFactor:
     """Evaluate nu = 1/(a0 - 1/(a1 - ...)) exactly.
 
     The parity constraints force every intermediate away from zero and the
-    final denominator odd; the guards below are defensive.
+    final denominator odd; the guards are defensive.
     """
-    cs = cf.coefficients
-    x = Fraction(cs[-1])
-    for a in reversed(cs[:-1]):
-        if x == 0:
-            raise ValueError(f"zero intermediate denominator while evaluating {list(cs)}")
-        x = a - Fraction(1) / x
-    if x == 0:
-        raise ValueError(f"zero intermediate denominator while evaluating {list(cs)}")
-    return _as_filling_factor(Fraction(1) / x, cs)
+    return _evaluate(cf.coefficients, StandardCF._sign)
 
 
 def eval_positive_cf(cf: PositiveCF) -> FillingFactor:
     """Evaluate nu = 1/(p0 + 1/(p1 + ...)) exactly."""
-    cs = cf.coefficients
-    x = Fraction(cs[-1])
-    for a in reversed(cs[:-1]):
-        x = a + Fraction(1) / x
-    return _as_filling_factor(Fraction(1) / x, cs)
+    return _evaluate(cf.coefficients, PositiveCF._sign)
 
 
-def _decompose_standard(x: Fraction, level: int = 0):
-    if level > MAX_DEPTH:
-        return None
-    want_odd = level == 0
-    if x.denominator == 1:
-        n = x.numerator
-        if want_odd and n >= 1 and n % 2 == 1:
-            return [n]
-        if not want_odd and n != 0 and n % 2 == 0:
-            return [n]
-    lo = floor(x)
-    if (lo % 2 == 0) == want_odd:
-        lo -= 1
-    # nearest coefficient of the right parity first, then its neighbors
-    for a in sorted({lo, lo + 2, lo - 2, lo + 4}, key=lambda c: abs(x - c)):
-        if want_odd and a < 1:
-            continue
-        if not want_odd and a == 0:
-            continue
-        if a == x:
-            continue
-        tail = _decompose_standard(1 / (a - x), level + 1)
-        if tail is not None:
-            return [a] + tail
-    return None
-
-
-def _decompose_positive(x: Fraction, level: int = 0):
-    if level > MAX_DEPTH:
-        return None
-    want_odd = level == 0
-    minimum = 1 if want_odd else 2
-    if x.denominator == 1:
-        n = x.numerator
-        if n >= minimum and n % 2 == (1 if want_odd else 0):
-            return [n]
-    lo = floor(x)
-    if (lo % 2 == 0) == want_odd:
-        lo -= 1
-    for a in (lo, lo - 2):  # the remainder 1/(x - a) must stay positive
-        if a < minimum or x - a <= 0:
-            continue
-        tail = _decompose_positive(1 / (x - a), level + 1)
-        if tail is not None:
-            return [a] + tail
-    return None
+def _lowest_of_parity(bound: Fraction, parity: int) -> int:
+    """The least integer >= bound that is congruent to parity mod 2."""
+    return 2 * ceil((bound - parity) / 2) + parity
 
 
 def decompose(nu: FillingFactor, form: str = "standard") -> StandardCF | PositiveCF:
-    """Find a coefficient sequence of the requested form evaluating to nu.
+    """Find the coefficient sequence of the requested form evaluating to nu.
 
-    Greedy nearest-coefficient steps with parity-respecting backtracking,
-    depth-bounded at MAX_DEPTH.  The returned sequence always round-trips
-    through the matching evaluator; DecompositionError is raised when no
-    sequence exists within the bound (the positive form misses part of
-    (0, 1], so failures there are expected and honest).
+    One loop serves both forms.  Starting from x = 1/nu, each step picks a
+    coefficient a of the required parity (odd first, even after) and sets
+    x <- s/(x - a), until x is itself an integer of the required parity:
+
+    * standard form (s = -1): a is the nearest coefficient to x, ties going
+      to the lower one.  After the odd a0 every remainder has numerator and
+      denominator of opposite parity, where this expansion terminates
+      (Kraaikamp & Lopes 1996) and no tie can occur;
+    * positive form (s = +1): a tail of even coefficients >= 2 is at least
+      2, so a is forced to be the one with 0 < x - a <= 1/2.  The positive
+      form is therefore unique when it exists; when no such a exists it
+      does not (3/5 is the smallest miss).
+
+    At most MAX_DEPTH + 1 = 65 terms are produced.  The standard expansion
+    of P/Q with P = (Q +- 1)/2 has P terms, so near-1/2 fractions from
+    66/131 on (and near-1/4 and near-3/4 ones from Q = 259 on) raise
+    DecompositionError at the bound, as does a fraction without a positive
+    form.  The returned sequence is re-evaluated exactly before it is
+    returned.
     """
-    reciprocal = Fraction(1) / nu.value
-    if form == "standard":
-        seq = _decompose_standard(reciprocal)
-        if seq is None:
-            raise DecompositionError(
-                f"no standard-form decomposition of {nu} within depth {MAX_DEPTH}"
-            )
-        result = StandardCF(tuple(seq))
-        produced = eval_standard_cf(result)
-    elif form == "positive":
-        seq = _decompose_positive(reciprocal)
-        if seq is None:
-            raise DecompositionError(
-                f"no positive-form decomposition of {nu} within depth {MAX_DEPTH}"
-            )
-        result = PositiveCF(tuple(seq))
-        produced = eval_positive_cf(result)
-    else:
+    forms = {"standard": StandardCF, "positive": PositiveCF}
+    if form not in forms:
         raise ValueError(f"unknown form {form!r}, expected 'standard' or 'positive'")
+    cls = forms[form]
+    x = 1 / nu.value
+    seq: list[int] = []
+    while True:
+        parity = 0 if seq else 1
+        if x.denominator == 1 and x.numerator % 2 == parity:
+            seq.append(x.numerator)
+            break
+        if len(seq) == MAX_DEPTH:
+            raise DecompositionError(
+                f"the {form} form of {nu} needs more than {MAX_DEPTH + 1} terms "
+                f"(MAX_DEPTH = {MAX_DEPTH})"
+            )
+        if cls is StandardCF:
+            a = _lowest_of_parity(x - 1, parity)  # nearest to x, ties to the lower
+        else:
+            a = _lowest_of_parity(x - 2, parity)  # the largest below x
+            if x - a > Fraction(1, 2):
+                raise DecompositionError(f"no positive-form decomposition of {nu} exists")
+        seq.append(a)
+        x = cls._sign / (x - a)
+    result = cls(tuple(seq))
+    produced = _evaluate(result.coefficients, cls._sign)
     if produced != nu:
         raise ArithmeticError(f"decomposition {seq} of {nu} re-evaluated to {produced}")
     return result

@@ -48,6 +48,19 @@ def test_ff_decompose_failure_exits_one(capsys):
     assert "3/5" in err
 
 
+def test_ff_decompose_past_depth_bound_exits_one(capsys):
+    code, out, err = run(capsys, "ff", "decompose", "--nu", "66/133")
+    assert code == 1
+    assert err.startswith("failure:") and "66/133" in err
+
+
+def test_ff_zero_denominator_is_usage_error(capsys):
+    for verb in ("decompose", "index"):
+        code, out, err = run(capsys, "ff", verb, "--nu", "1/0")
+        assert code == 2
+        assert err.startswith("error:") and "zero denominator" in err
+
+
 def test_ff_blokwen(capsys):
     report = run_json(capsys, "ff", "blokwen", "--coeffs", "1,2")
     assert report["result"]["thetas"] == ["0", "-1"]

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -158,6 +159,68 @@ def test_positive_roundtrip_when_decomposable(nu):
 def test_standard_decomposes_every_small_fraction():
     for nu in reduced_odd_fractions(35):
         assert eval_standard_cf(decompose(nu, "standard")) == nu
+
+
+@pytest.mark.parametrize("num, den", [(66, 133), (100, 201), (500, 1001)])
+def test_standard_past_depth_bound_raises_fast(num, den):
+    nu = FillingFactor(num, den)
+    start = time.perf_counter()
+    with pytest.raises(DecompositionError, match=f"{nu}.*{MAX_DEPTH + 1}"):
+        decompose(nu, "standard")
+    assert time.perf_counter() - start < 0.01
+
+
+def test_standard_at_depth_bound():
+    # 65/131 = 1/(3 - 1/(2 - ... - 1/2)) with 64 twos: exactly MAX_DEPTH + 1 terms
+    assert decompose(FillingFactor(65, 131), "standard").coefficients == (3,) + (2,) * 64
+    # the nearest odd to 129/65 is 1, and every later nearest even is -2
+    assert decompose(FillingFactor(65, 129), "standard").coefficients == (1,) + (-2,) * 64
+
+
+def test_standard_exhaustive_to_q_301():
+    raised = 0
+    for nu in reduced_odd_fractions(301):
+        try:
+            cf = decompose(nu, "standard")
+        except DecompositionError:
+            raised += 1
+            continue
+        assert len(cf.coefficients) <= MAX_DEPTH + 1
+        assert eval_standard_cf(cf) == nu
+    assert raised == 213
+
+
+def test_positive_exhaustive_to_q_201():
+    decomposed = total = 0
+    for nu in reduced_odd_fractions(201):
+        total += 1
+        try:
+            cf = decompose(nu, "positive")
+        except DecompositionError:
+            continue
+        assert eval_positive_cf(cf) == nu
+        decomposed += 1
+    assert (decomposed, total) == (903, 8283)
+
+
+large_odd_q_fractions = st.integers(0, 4999).flatmap(
+    lambda i: st.integers(1, 2 * i + 1).map(lambda n: (n, 2 * i + 1))
+).filter(lambda t: gcd(t[0], t[1]) == 1).map(lambda t: FillingFactor(*t))
+
+
+@settings(max_examples=200, deadline=None)
+@given(large_odd_q_fractions, st.sampled_from(["standard", "positive"]))
+def test_decompose_bounded_for_large_q(nu, form):
+    evaluate = eval_standard_cf if form == "standard" else eval_positive_cf
+    start = time.perf_counter()
+    try:
+        cf = decompose(nu, form)
+    except DecompositionError:
+        cf = None
+    assert time.perf_counter() - start < 0.05
+    if cf is not None:
+        assert len(cf.coefficients) <= MAX_DEPTH + 1
+        assert evaluate(cf) == nu
 
 
 # ----------------------------------------------------------------------
