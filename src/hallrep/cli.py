@@ -334,10 +334,7 @@ def _cmd_wf_inner(args):
     if args.method == "exact":
         res = inner_product_exact(spec_a, spec_b)
     else:
-        res = inner_product_mc(
-            spec_a, spec_b, args.samples, args.seed,
-            workers=args.workers, quad_order=args.quad_order,
-        )
+        res = inner_product_mc(spec_a, spec_b, args.samples, args.seed, workers=args.workers)
     return res.to_json(), None, None
 
 
@@ -350,7 +347,6 @@ def _cmd_wf_gram(args):
         seed=args.seed,
         normalize=args.normalize,
         workers=args.workers,
-        quad_order=args.quad_order,
     )
     return gram.to_json(), None, gram.to_csv()
 
@@ -463,14 +459,12 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--samples", type=int, default=100_000, help="Monte Carlo samples")
     cmd.add_argument("--seed", type=int, default=0, help="stream seed")
     cmd.add_argument("--workers", type=int, default=1, help="worker threads; must not affect outputs")
-    cmd.add_argument("--quad-order", type=int, default=32, help="per-axis quadrature order (hierarchy specs)")
     cmd = sub(wf_sub, "gram", _cmd_wf_gram, "Hermitian matrix of pairwise inner products")
     cmd.add_argument("--specs", type=_json_arg, required=True, help="JSON array of wavefunction specs")
     cmd.add_argument("--method", choices=("exact", "mc"), default="exact", help="integration method")
     cmd.add_argument("--samples", type=int, default=100_000, help="Monte Carlo samples")
     cmd.add_argument("--seed", type=int, default=0, help="stream seed")
     cmd.add_argument("--workers", type=int, default=1, help="worker threads; must not affect outputs")
-    cmd.add_argument("--quad-order", type=int, default=32, help="per-axis quadrature order (hierarchy specs)")
     cmd.add_argument("--normalize", action="store_true", help="rescale so the diagonal is exactly 1")
 
     return parser

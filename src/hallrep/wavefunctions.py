@@ -12,7 +12,9 @@ independent flavors:
   delta_{ab}, all in integer arithmetic;
 * Monte Carlo: importance-sample every coordinate from exp(-|z|^2)/pi using
   the counter-based stream in :mod:`hallrep.sampling`, so results are
-  reproducible and independent of the worker count.
+  reproducible and independent of the worker count.  The auxiliary integral
+  is taken in closed form here; :func:`hierarchy_r1_eval` keeps Gauss-Hermite
+  quadrature as its oracle.
 """
 
 from __future__ import annotations
@@ -47,8 +49,6 @@ __all__ = [
 MAX_EXPANSION_DEGREE = 60
 
 MIN_MC_SAMPLES = 1000
-
-_QUAD_BATCH = 1 << 21  # complex temporaries per quadrature slice
 
 
 # ----------------------------------------------------------------------
@@ -186,7 +186,7 @@ def _auxiliary_decay_rate(a0: int) -> float:
     return float(abs(seq.qs[1]))
 
 
-def _auxiliary_integral(spec: HierarchyR1Spec, coords: np.ndarray, quad_order: int) -> np.ndarray:
+def _auxiliary_integral(spec: HierarchyR1Spec, z: np.ndarray, quad_order: int) -> complex:
     """int d2w e^{-|q1||w|^2} prod_j (w - z_j), conjugated when b = -1.
 
     Tensor Gauss-Hermite on both axes of w; the integrand is polynomial in
@@ -197,16 +197,9 @@ def _auxiliary_integral(spec: HierarchyR1Spec, coords: np.ndarray, quad_order: i
     scale = 1.0 / math.sqrt(rate)
     w = scale * (nodes[:, None] + 1j * nodes[None, :]).ravel()
     w2d = (weights[:, None] * weights[None, :]).ravel() / rate
-
-    out = np.empty(coords.shape[0], dtype=complex)
-    step = max(1, _QUAD_BATCH // w.size)
-    for lo in range(0, coords.shape[0], step):
-        zc = coords[lo : lo + step]
-        factors = np.ones((zc.shape[0], w.size), dtype=complex)
-        for j in range(zc.shape[1]):
-            factors *= w[None, :] - zc[:, j, None]
-        out[lo : lo + step] = factors @ w2d
-    return np.conj(out) if spec.b == -1 else out
+    factors = np.prod(w[:, None] - z[None, :], axis=1)
+    out = complex(factors @ w2d)
+    return out.conjugate() if spec.b == -1 else out
 
 
 def hierarchy_r1_eval(spec: HierarchyR1Spec, config, quad_order: int = 32) -> complex:
@@ -223,22 +216,29 @@ def hierarchy_r1_eval(spec: HierarchyR1Spec, config, quad_order: int = 32) -> co
     if quad_order < 8:
         raise ValueError(f"quad_order must be at least 8, got {quad_order}")
     z = as_config(config, spec.n_electrons)
-    batch = z[None, :]
     value = (
-        _jastrow_batch(batch, spec.a0)[0]
-        * _auxiliary_integral(spec, batch, quad_order)[0]
+        _jastrow_batch(z[None, :], spec.a0)[0]
+        * _auxiliary_integral(spec, z, quad_order)
         * math.exp(-0.5 * float(np.sum(np.abs(z) ** 2)))
     )
     return complex(value)
 
 
-def _gaussian_stripped_values(spec: WavefunctionSpec, coords: np.ndarray, quad_order: int) -> np.ndarray:
-    """Wavefunction values with the exp(-1/2 sum|z|^2) factor removed."""
+def _gaussian_stripped_values(spec: WavefunctionSpec, coords: np.ndarray) -> np.ndarray:
+    """Wavefunction values with the exp(-1/2 sum|z|^2) factor removed.
+
+    The rotationally symmetric weight keeps only the constant term of
+    prod_j (w - z_j), so the auxiliary integral is (pi/rate) prod_j (-z_j),
+    conjugated when b = -1; hierarchy_r1_eval keeps quadrature as the oracle.
+    """
     if isinstance(spec, LaughlinSpec):
         return _jastrow_batch(coords, spec.m)
     if spec.n_quasi != 1:
         raise ValueError(f"only a single auxiliary coordinate is supported, got {spec.n_quasi}")
-    return _jastrow_batch(coords, spec.a0) * _auxiliary_integral(spec, coords, quad_order)
+    auxiliary = (math.pi / _auxiliary_decay_rate(spec.a0)) * np.prod(-coords, axis=1)
+    if spec.b == -1:
+        auxiliary = np.conj(auxiliary)
+    return _jastrow_batch(coords, spec.a0) * auxiliary
 
 
 # ----------------------------------------------------------------------
@@ -339,12 +339,13 @@ def inner_product_exact(spec_a: WavefunctionSpec, spec_b: WavefunctionSpec) -> I
     )
 
 
-def _mc_pair_sums(specs, pairs, samples, seed, workers, quad_order):
+def _mc_pair_sums(specs, pairs, samples, seed, workers):
     """Per-pair (sum f, sum Re(f)^2, sum Im(f)^2) with f = conj(v_a) v_b.
 
     One shared coordinate stream feeds every pair; block partials are folded
     in block index order, so the totals are bit-identical for any worker
-    count.
+    count.  A diagonal pair sums |v|^2 = Re(v)^2 + Im(v)^2, so its total is
+    exactly real.
     """
     n = specs[0].n_electrons
     block_list = list(sampling.blocks(samples))
@@ -352,17 +353,16 @@ def _mc_pair_sums(specs, pairs, samples, seed, workers, quad_order):
     def block_stats(block):
         _, start, count = block
         coords = sampling.gaussian_block(seed, n, start, count)
-        values = [_gaussian_stripped_values(spec, coords, quad_order) for spec in specs]
+        values = [_gaussian_stripped_values(spec, coords) for spec in specs]
         out = []
         for ia, ib in pairs:
-            f = np.conj(values[ia]) * values[ib]
-            out.append(
-                (
-                    complex(np.sum(f)),
-                    float(np.sum(f.real**2)),
-                    float(np.sum(f.imag**2)),
-                )
-            )
+            if ia == ib:
+                v = values[ia]
+                f = v.real**2 + v.imag**2
+                out.append((complex(np.sum(f)), float(np.sum(f * f)), 0.0))
+            else:
+                f = np.conj(values[ia]) * values[ib]
+                out.append((complex(np.sum(f)), float(np.sum(f.real**2)), float(np.sum(f.imag**2))))
         return out
 
     if workers > 1:
@@ -407,6 +407,8 @@ def inner_product_mc(
     Each coordinate is drawn from exp(-|z|^2)/pi, the Gaussian-stripped
     integrand is averaged, and the result is scaled by pi^n.  Fixed
     (seed, samples) gives bit-identical output for any worker count.
+    quad_order is accepted and ignored: the Monte Carlo path takes the
+    auxiliary integral in closed form.
     """
     if spec_a.n_electrons != spec_b.n_electrons:
         raise ValueError(
@@ -420,7 +422,7 @@ def inner_product_mc(
         specs, pairs = [spec_a], [(0, 0)]
     else:
         specs, pairs = [spec_a, spec_b], [(0, 1)]
-    ((total, sq_re, sq_im),) = _mc_pair_sums(specs, pairs, samples, seed, workers, quad_order)
+    ((total, sq_re, sq_im),) = _mc_pair_sums(specs, pairs, samples, seed, workers)
     return _mc_result(total, sq_re, sq_im, samples, seed, spec_a.n_electrons)
 
 
@@ -507,7 +509,6 @@ def gram_matrix(
     seed: int = 0,
     normalize: bool = False,
     workers: int = 1,
-    quad_order: int = 32,
 ) -> GramMatrix:
     """Hermitian matrix of pairwise inner products.
 
@@ -535,7 +536,7 @@ def gram_matrix(
         samples_used, seed_used = 0, None
     elif method == "mc":
         pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
-        stats = _mc_pair_sums(list(specs), pairs, samples, seed, workers, quad_order)
+        stats = _mc_pair_sums(list(specs), pairs, samples, seed, workers)
         for (i, j), (total, sq_re, sq_im) in zip(pairs, stats):
             res = _mc_result(total, sq_re, sq_im, samples, seed, n)
             grid[i][j] = res

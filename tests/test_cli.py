@@ -200,6 +200,29 @@ def test_wf_gram_normalized_exact_identity(capsys):
     assert entries[0][1]["re"] == 0.0 and entries[1][0]["re"] == 0.0
 
 
+HIERARCHY_SPECS = json.dumps([
+    {"variant": "hierarchy_r1", "a0": 3, "a1": 2, "b": 1, "n_electrons": 2},
+    {"variant": "hierarchy_r1", "a0": 3, "a1": -2, "b": -1, "n_electrons": 2},
+])
+
+
+def test_wf_gram_mc_hierarchy_is_hermitian(capsys):
+    report = run_json(capsys, "wf", "gram", "--specs", HIERARCHY_SPECS,
+                      "--method", "mc", "--samples", "20000", "--seed", "5")
+    entries = report["result"]["entries"]
+    for i in range(2):
+        assert entries[i][i]["re"] > 0 and entries[i][i]["im"] == 0.0
+    assert entries[0][1]["re"] == entries[1][0]["re"]
+    assert entries[0][1]["im"] == -entries[1][0]["im"]
+    assert entries[0][1]["stderr"] == entries[1][0]["stderr"]
+
+
+def test_wf_gram_rejects_quad_order(capsys):
+    code, _, _ = run(capsys, "wf", "gram", "--specs", HIERARCHY_SPECS,
+                     "--method", "mc", "--quad-order", "16")
+    assert code == 2
+
+
 def test_help_exits_zero_and_lists_defaults(capsys):
     for argv in (["--help"], ["ladder", "--help"], ["ladder", "magnitudes", "--help"],
                  ["ff", "--help"], ["wf", "inner", "--help"], ["rep", "--help"]):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hallrep import sampling
 from hallrep.wavefunctions import (
     GramMatrix,
     HierarchyR1Spec,
@@ -19,6 +20,8 @@ from hallrep.wavefunctions import (
     laughlin_eval,
     spec_from_json,
     spec_to_json,
+    _gaussian_stripped_values,
+    _jastrow_batch,
 )
 from hallrep.hierarchy import FillingFactor
 
@@ -289,6 +292,29 @@ def test_hierarchy_r1_coincident_and_antisymmetric():
     assert backward == pytest.approx(-forward, rel=1e-12)
 
 
+@pytest.mark.parametrize("a0", [1, 3, 5, 7])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_mc_closed_form_matches_quadrature(a0, n):
+    """The Monte Carlo path's closed-form values against the quadrature oracle.
+
+    The error is measured against pi*a0*|J| prod_j (|z_j| + sqrt(a0)), the
+    size of the integrand the quadrature sums: where prod_j z_j is small the
+    quadrature cancels terms much larger than the value, and its own
+    rounding exceeds 1e-12 of the value (up to ~1e-11 at a0 = 7, n = 4).
+    """
+    coords = sampling.gaussian_block(7, n, 0, 1000)
+    gauss = np.exp(-0.5 * np.sum(np.abs(coords) ** 2, axis=1))
+    scale = (
+        math.pi * a0 * np.abs(_jastrow_batch(coords, a0))
+        * np.prod(np.abs(coords) + math.sqrt(a0), axis=1) * gauss
+    )
+    for b in (1, -1):
+        spec = HierarchyR1Spec(a0=a0, a1=-2, b=b, n_electrons=n)
+        fast = _gaussian_stripped_values(spec, coords) * gauss
+        slow = np.array([hierarchy_r1_eval(spec, z, quad_order=32) for z in coords])
+        assert np.all(np.abs(fast - slow) <= 1e-12 * scale)
+
+
 def test_hierarchy_r1_scope_errors():
     spec = HierarchyR1Spec(a0=3, a1=2, b=1, n_electrons=2, n_quasi=2)
     with pytest.raises(ValueError, match="single auxiliary"):
@@ -386,3 +412,37 @@ def test_gram_json_and_csv_export():
     row, col, re, im, stderr = lines[1].split(",")
     assert (int(row), int(col)) == (0, 0)
     assert float(re) == gram.entries[0][0].value.real  # repr round-trips exactly
+
+
+def exact_hierarchy_norm(a0):
+    """<psi, psi> at n = 2 for either sign b, from the moment rule.
+
+    |pi a0 (z1 - z2)^a0 z1 z2|^2 expands into C(a0, t)^2 |z1|^(2(t+1))
+    |z2|^(2(a0+1-t)) diagonal terms, each integrating to pi^2 (t+1)! (a0+1-t)!.
+    """
+    total = sum(
+        math.comb(a0, t) ** 2 * math.factorial(t + 1) * math.factorial(a0 + 1 - t)
+        for t in range(a0 + 1)
+    )
+    return (math.pi * a0) ** 2 * math.pi**2 * total
+
+
+def test_gram_mc_hierarchy_against_exact_gram():
+    specs = [HierarchyR1Spec(a0, a1, b, 2) for a0, a1, b in ((3, 2, 1), (3, -2, -1), (5, 2, 1))]
+    assert exact_hierarchy_norm(3) == pytest.approx(231_444, rel=1e-5)
+    assert exact_hierarchy_norm(5) == pytest.approx(1.02864e8, rel=1e-5)
+    exact = np.diag([exact_hierarchy_norm(spec.a0) for spec in specs])
+    one = gram_matrix(specs, "mc", samples=1_000_000, seed=11, workers=1)
+    four = gram_matrix(specs, "mc", samples=1_000_000, seed=11, workers=4)
+    assert np.all(np.abs(one.values() - exact) <= 5 * one.stderrs())
+    assert np.array_equal(one.values(), four.values())
+    assert np.array_equal(one.stderrs(), four.stderrs())
+    assert np.all(np.diag(one.values()).imag == 0.0)
+
+
+def test_gram_mc_diagonal_exactly_real():
+    specs = [LaughlinSpec(m, 2) for m in (1, 3, 5)]
+    gram = gram_matrix(specs, "mc", samples=100_000, seed=3)
+    assert np.all(np.diag(gram.values()).imag == 0.0)
+    res = inner_product_mc(specs[1], specs[1], 10_000, seed=3)
+    assert res.value.imag == 0.0
