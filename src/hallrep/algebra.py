@@ -246,7 +246,7 @@ def matrix_to_json(mat) -> dict:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     return {
         "dim": int(mat.shape[0]),
-        "entries": [[float(z.real), float(z.imag)] for z in mat.reshape(-1)],
+        "entries": np.ascontiguousarray(mat).reshape(-1).view(float).reshape(-1, 2).tolist(),
     }
 
 

@@ -3,9 +3,11 @@
 Verb-noun subcommands over the library: representation solving and
 verification (`rep`, `ladder`), filling-factor arithmetic (`ff`), and
 wavefunction inner products (`wf`).  Machine-readable JSON is the default
-output.  Exit code 0 means success, 1 a failed verification or an honest
-mathematical failure, 2 a usage error.  The only environment variable
-consulted is HALLREP_COLOR (1/0), toggling color in table output.
+output, one compact line per report; read it with `--format table` or
+`python -m json.tool`.  Exit code 0 means success, 1 a failed verification,
+an honest mathematical failure or a report that would hold inf/nan (nothing
+is written then), 2 a usage error.  The only environment variable consulted
+is HALLREP_COLOR (1/0), toggling color in table output.
 """
 
 from __future__ import annotations
@@ -108,6 +110,10 @@ def _pair(z: complex) -> list[float]:
 # output
 
 
+class _NonFiniteReport(Exception):
+    """A JSON report holds inf or nan; it is refused before anything is written."""
+
+
 def _use_color() -> bool:
     toggle = os.environ.get("HALLREP_COLOR")
     if toggle is not None:
@@ -130,7 +136,10 @@ def _flatten(value, prefix=""):
 def _emit(args, envelope: dict, csv_text: str | None, passed: bool | None) -> None:
     fmt = getattr(args, "format", "json")
     if fmt == "json":
-        text = json.dumps(envelope, indent=2) + "\n"
+        try:
+            text = json.dumps(envelope, allow_nan=False) + "\n"
+        except ValueError as exc:  # allow_nan=False refuses inf and nan
+            raise _NonFiniteReport from exc
     elif fmt == "csv":
         if csv_text is None:
             lines = ["key,value"]
@@ -491,7 +500,11 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(args, _envelope(args, result), csv_text, passed)
+    try:
+        _emit(args, _envelope(args, result), csv_text, passed)
+    except _NonFiniteReport:
+        print("failure: a non-finite number (inf or nan) reached the report; nothing was written", file=sys.stderr)
+        return 1
     if passed is False:
         failing = result.get("failures") if isinstance(result, dict) else None
         detail = "; ".join(failing) if failing else "see the residuals in the report"

@@ -416,11 +416,7 @@ def cyclicity_check(rep: LadderRep | GenericCyclicRep) -> CyclicityReport:
         denom = max(1.0, abs(scalar) * math.sqrt(n))
         return frobenius(power - scalar * np.eye(n)) / denom
 
-    no_zero_column = all(
-        bool(np.any(mat[:, j] != 0))
-        for mat in (rep.e_plus, rep.e_minus)
-        for j in range(n)
-    )
+    no_zero_column = all(bool(np.all(np.any(mat != 0, axis=0))) for mat in (rep.e_plus, rep.e_minus))
     return CyclicityReport(
         is_cyclic=no_zero_column and scalar_plus != 0 and scalar_minus != 0,
         epow_scalar=scalar_plus,

@@ -175,6 +175,34 @@ def test_matrix_json_rejects_bad_payload():
         matrix_from_json({"dim": 2, "entries": [[0.0, 0.0]]})
 
 
+def per_entry_matrix_json(mat):
+    """The per-element encoder that the vectorised matrix_to_json replaced."""
+    mat = np.asarray(mat, dtype=complex)
+    return {"dim": int(mat.shape[0]), "entries": [[float(z.real), float(z.imag)] for z in mat.reshape(-1)]}
+
+
+def test_matrix_json_non_contiguous_input_matches_per_entry_encoder():
+    rng = np.random.default_rng(5)
+    mat = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
+    mat[2, 3] = complex(-0.0, -0.0)
+    big = rng.normal(size=(9, 12))
+    for view in (mat.T, mat[::-1, ::2][:4, :4], mat.conj().T, big[1:8:2, 2:10:2], np.arange(9).reshape(3, 3).T):
+        assert not view.flags.c_contiguous
+        encoded = matrix_to_json(view)
+        want = per_entry_matrix_json(view)
+        assert encoded == want
+        assert all(type(x) is float for pair in encoded["entries"] for x in pair)
+        signs = np.signbit(np.array(encoded["entries"]))
+        assert np.array_equal(signs, np.signbit(np.array(want["entries"])))
+        assert np.array_equal(matrix_from_json(encoded), view)
+
+
+def test_matrix_json_rejects_ragged_entry():
+    entries = [[0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+    with pytest.raises(ValueError):
+        matrix_from_json({"dim": 2, "entries": entries})
+
+
 def test_default_tolerance_scales_with_dimension():
     assert default_tolerance(3) == pytest.approx(3e-10)
     assert frobenius(np.eye(4)) == pytest.approx(2.0)

@@ -3,8 +3,9 @@ import math
 
 import pytest
 
+from hallrep.algebra import PrimitiveRoot
 from hallrep.cli import main
-from hallrep.cyclic import rep_from_json
+from hallrep.cyclic import build_ladder, rep_from_json
 
 
 def run(capsys, *argv):
@@ -132,6 +133,30 @@ def test_ladder_cyclicity(capsys):
     report = run_json(capsys, "ladder", "cyclicity", "--p", "1", "--base", "2")
     assert report["result"]["is_cyclic"] is True
     assert report["result"]["epow_scalar"][0] == pytest.approx(2.0, abs=1e-12)
+
+
+def test_large_ladder_report_is_one_compact_line(tmp_path, capsys):
+    rep_file = tmp_path / "rep.json"
+    code, out, err = run(capsys, "ladder", "build", "--p", "198", "--k", "120", "-o", str(rep_file))
+    assert code == 0, err
+    assert out == ""
+    text = rep_file.read_text()
+    assert text.count("\n") == 1 and text.endswith("\n")
+    assert rep_file.stat().st_size < 7_000_000
+    assert json.loads(text)["result"] == build_ladder(PrimitiveRoot(198, 120)).to_json()
+    assert run_json(capsys, "rep", "verify", "--in", str(rep_file))["result"]["pass"] is True
+    assert run_json(capsys, "ladder", "cyclicity", "--in", str(rep_file))["result"]["is_cyclic"] is True
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_non_finite_report_is_not_written(tmp_path, capsys):
+    out_file = tmp_path / "cyclicity.json"
+    code, out, err = run(capsys, "ladder", "cyclicity", "--p", "86", "--k", "1", "-o", str(out_file))
+    assert code == 1
+    assert not out_file.exists()
+    assert err.startswith("failure:") and "non-finite" in err
+    code, out, err = run(capsys, "ladder", "cyclicity", "--p", "86", "--k", "1")
+    assert code == 1 and out == ""
 
 
 def test_infeasible_base_is_usage_error(capsys):

@@ -271,6 +271,33 @@ def test_rep_json_roundtrip_bit_identical():
         assert np.array_equal(getattr(back, name), getattr(generic, name))
 
 
+def assert_bitwise_equal(got, want):
+    got, want = np.asarray(got).view(float), np.asarray(want).view(float)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("p, k", [(1, 1), (30, 7), (198, 120)])
+def test_ladder_json_roundtrip_keeps_bits_and_signed_zeros(p, k):
+    phases = np.random.default_rng(p).uniform(-np.pi, np.pi, 2 * p + 1)
+    ladder = build_ladder(primitive_root(p, k), phases=phases)
+    back = rep_from_json(json.loads(json.dumps(ladder.to_json())))
+    assert np.signbit(ladder.e_minus.view(float)).any()  # the adjoint holds -0.0 entries
+    assert_bitwise_equal(back.a, ladder.a)
+    for name in ("k_mat", "e_plus", "e_minus"):
+        assert_bitwise_equal(getattr(back, name), getattr(ladder, name))
+
+
+def test_generic_json_roundtrip_keeps_bits_and_signed_zeros():
+    root = primitive_root(5, 2)
+    phases = np.random.default_rng(11).uniform(-np.pi, np.pi, root.order)
+    generic = solve_generic_coefficients(root, root.power(3) * 1j, phases=phases)
+    back = rep_from_json(json.loads(json.dumps(generic.to_json())))
+    assert back.lam == generic.lam
+    for name in ("g", "f", "k_mat", "e_plus", "e_minus"):
+        assert_bitwise_equal(getattr(back, name), getattr(generic, name))
+
+
 def test_rep_json_rebuilds_without_matrices():
     ladder = build_ladder(primitive_root(1))
     payload = ladder.to_json()
