@@ -24,12 +24,9 @@ from . import __version__
 from .algebra import PrimitiveRoot, verify_relations
 from .cyclic import (
     InfeasibleBaseError,
-    LadderRep,
     build_ladder,
     cyclicity_check,
-    generic_from_coefficients,
     intertwiner,
-    ladder_from_coefficients,
     rep_from_json,
     solve_generic_coefficients,
     solve_ladder_magnitudes,
@@ -191,12 +188,8 @@ def _cmd_rep_solve(args):
 
 
 def _cmd_rep_build(args):
-    obj = _load_json(args.infile)
-    stored = _extract_rep(obj)
-    if isinstance(stored, LadderRep):
-        rebuilt = ladder_from_coefficients(stored.root, stored.a)
-    else:
-        rebuilt = generic_from_coefficients(stored.root, stored.lam, stored.g, stored.f)
+    stored = _extract_rep(_load_json(args.infile))
+    rebuilt = stored.rebuild()
     deviation = max(
         float(np.linalg.norm(getattr(stored, name) - getattr(rebuilt, name)))
         for name in ("k_mat", "e_plus", "e_minus")
@@ -220,7 +213,7 @@ def _cmd_rep_verify(args):
 
 def _cmd_rep_intertwine(args):
     rep = _extract_rep(_load_json(args.infile))
-    if not isinstance(rep, LadderRep):
+    if rep.kind != "ladder":
         raise ValueError("intertwine expects a ladder-form representation file")
     res = intertwiner(rep, args.s)
     result = {
@@ -235,7 +228,7 @@ def _cmd_rep_intertwine(args):
 def _ladder_rep_from_args(args):
     if getattr(args, "infile", None):
         rep = _extract_rep(_load_json(args.infile))
-        if not isinstance(rep, LadderRep):
+        if rep.kind != "ladder":
             raise ValueError("expected a ladder-form representation file")
         return rep
     return build_ladder(_root_from_args(args), base=args.base, phases=args.phases)

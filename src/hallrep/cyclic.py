@@ -1,6 +1,7 @@
 """Cyclic representation builders for the deformed sl(2) algebra.
 
-Two realizations of the (2p+1)-dimensional unitary cyclic representation:
+One type, CyclicRep, holds both realizations of the (2p+1)-dimensional
+unitary cyclic representation, a diagonal K plus one weighted cyclic shift:
 
 * ladder form: K diagonal with entries q^i over basis labels i = 1..2p+1 and
   a raising operator stepping i down by two, with coefficient magnitudes
@@ -29,6 +30,7 @@ from .algebra import (
 )
 
 __all__ = [
+    "CyclicRep",
     "CyclicityReport",
     "GenericCyclicRep",
     "InfeasibleBaseError",
@@ -181,49 +183,24 @@ def three_block_residual(solution: MagnitudeSolution) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class LadderRep:
-    """Realized ladder-form matrices with coefficients a_1..a_{2p+1}.
+class CyclicRep:
+    """A realized cyclic representation: diagonal K plus one weighted cyclic shift.
 
-    K = diag(q^i); E+ = sum_i a_i |i><i+2|; E- is stored as the exact
-    adjoint of E+, entry for entry.
+    kind "ladder": K = diag(q^i), E+ = sum_i a_i |i><i+2|, E- stored as the
+    exact adjoint of E+, entry for entry; raising holds a_i by row label i
+    and lowering holds conj(a_i).
+    kind "generic": K v_m = lam q^(-2m) v_m, E+ v_m = g_m v_{m+1},
+    E- v_m = f_m v_{m-1}; raising holds g and lowering f, by weight m.
+    lam is K's eigenvalue on the first basis vector (q in the ladder form);
+    unitary says the coefficients pair as a unitary representation's do
+    (f_{m+1} = conj(g_m); the ladder form pairs by construction).
     """
 
     root: PrimitiveRoot
-    a: np.ndarray
-    k_mat: np.ndarray
-    e_plus: np.ndarray
-    e_minus: np.ndarray
-
-    @property
-    def p(self) -> int:
-        return self.root.p
-
-    @property
-    def dim(self) -> int:
-        return self.root.order
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "ladder",
-            "p": self.root.p,
-            "k": self.root.k,
-            "coefficients": [[float(z.real), float(z.imag)] for z in self.a],
-            "matrices": {
-                "K": matrix_to_json(self.k_mat),
-                "Ep": matrix_to_json(self.e_plus),
-                "Em": matrix_to_json(self.e_minus),
-            },
-        }
-
-
-@dataclass(frozen=True, eq=False)
-class GenericCyclicRep:
-    """Weight-basis cyclic representation K v_m = lam q^(-2m) v_m."""
-
-    root: PrimitiveRoot
+    kind: str
     lam: complex
-    g: np.ndarray
-    f: np.ndarray
+    raising: np.ndarray
+    lowering: np.ndarray
     k_mat: np.ndarray
     e_plus: np.ndarray
     e_minus: np.ndarray
@@ -237,44 +214,93 @@ class GenericCyclicRep:
     def dim(self) -> int:
         return self.root.order
 
+    @property
+    def a(self) -> np.ndarray:
+        """The raising coefficients, a in the ladder form and g in the weight basis."""
+        return self.raising
+
+    g = a
+
+    @property
+    def f(self) -> np.ndarray:
+        return self.lowering
+
+    def rebuild(self) -> CyclicRep:
+        """The same coefficients with the matrices realized afresh."""
+        return _assemble(self.root, self.kind, self.raising, self.lowering, self.lam)
+
     def to_json(self) -> dict:
-        pair = lambda z: [float(z.real), float(z.imag)]
-        return {
-            "kind": "generic",
-            "p": self.root.p,
-            "k": self.root.k,
-            "lambda": pair(self.lam),
-            "coefficients": {"g": [pair(z) for z in self.g], "f": [pair(z) for z in self.f]},
-            "matrices": {
-                "K": matrix_to_json(self.k_mat),
-                "Ep": matrix_to_json(self.e_plus),
-                "Em": matrix_to_json(self.e_minus),
-            },
+        obj = {"kind": self.kind, "p": self.root.p, "k": self.root.k}
+        if self.kind == "ladder":
+            obj["coefficients"] = _pairs(self.raising)
+        else:
+            obj["lambda"] = [self.lam.real, self.lam.imag]
+            obj["coefficients"] = {"g": _pairs(self.raising), "f": _pairs(self.lowering)}
+        obj["matrices"] = {
+            "K": matrix_to_json(self.k_mat),
+            "Ep": matrix_to_json(self.e_plus),
+            "Em": matrix_to_json(self.e_minus),
         }
+        return obj
 
 
-def _freeze(*mats: np.ndarray) -> None:
-    for mat in mats:
-        mat.setflags(write=False)
+LadderRep = GenericCyclicRep = CyclicRep
 
 
-def ladder_from_coefficients(root: PrimitiveRoot, a) -> LadderRep:
-    """Assemble the ladder matrices from an explicit coefficient vector."""
+def _pairs(vec: np.ndarray) -> list:
+    """[[re, im], ...] of a contiguous complex vector, signed zeros kept."""
+    return vec.view(float).reshape(-1, 2).tolist()
+
+
+def _assemble(root: PrimitiveRoot, kind: str, raising, lowering=None, lam=None, mats=None) -> CyclicRep:
+    """The one path from coefficients to a CyclicRep.
+
+    The ladder form ignores lowering and lam and takes conj(raising) and q.
+    mats, a JSON {"K", "Ep", "Em"} object, is stored verbatim instead of
+    realizing the matrices, so a corrupted file loads and then fails
+    verification.
+    """
     n = root.order
-    a = np.asarray(a, dtype=complex).copy()
-    if a.shape != (n,):
-        raise ValueError(f"expected {n} coefficients, got shape {a.shape}")
-    k_mat = np.diag([root.power(i) for i in range(1, n + 1)])
-    e_plus = np.zeros((n, n), dtype=complex)
-    for i in range(1, n + 1):
-        e_plus[i - 1, _label(i + 2, n) - 1] = a[i - 1]
-    e_minus = e_plus.conj().T.copy()
-    # diagonal unit-modulus K: adjoint and inverse must agree
-    adjoint_residual = frobenius(k_mat.conj().T - np.linalg.inv(k_mat))
-    if adjoint_residual > _BUILD_TOL:
-        raise ArithmeticError(f"K adjoint-inverse residual {adjoint_residual}")
-    _freeze(a, k_mat, e_plus, e_minus)
-    return LadderRep(root=root, a=a, k_mat=k_mat, e_plus=e_plus, e_minus=e_minus)
+    lam = root.power(1) if kind == "ladder" else complex(lam)
+    raising = np.array(raising, dtype=complex)
+    lowering = np.conj(raising) if kind == "ladder" else np.array(lowering, dtype=complex)
+    labels = ("coefficients",) if kind == "ladder" else ("g coefficients", "f coefficients")
+    for label, vec in zip(labels, (raising, lowering)):
+        if vec.shape != (n,):
+            raise ValueError(f"expected {n} {label}, got shape {vec.shape}")
+    if mats is not None:
+        k_mat, e_plus, e_minus = (matrix_from_json(mats[key]) for key in ("K", "Ep", "Em"))
+    else:
+        j = np.arange(n)
+        e_plus = np.zeros((n, n), dtype=complex)
+        if kind == "ladder":
+            k_mat = np.diag([root.power(i) for i in range(1, n + 1)])
+            e_plus[j, (j + 2) % n] = raising
+            e_minus = e_plus.conj().T.copy()
+            # diagonal unit-modulus K: adjoint and inverse must agree
+            adjoint_residual = frobenius(k_mat.conj().T - np.linalg.inv(k_mat))
+            if adjoint_residual > _BUILD_TOL:
+                raise ArithmeticError(f"K adjoint-inverse residual {adjoint_residual}")
+        else:
+            k_mat = np.diag([lam * root.power(-2 * m) for m in range(n)])
+            e_plus[(j + 1) % n, j] = raising
+            e_minus = np.zeros((n, n), dtype=complex)
+            e_minus[(j - 1) % n, j] = lowering
+    unitary = kind == "ladder" or (
+        abs(abs(lam) - 1.0) <= 1e-12
+        and bool(np.allclose(lowering, np.conj(np.roll(raising, 1)), rtol=0.0, atol=_BUILD_TOL))
+    )
+    for arr in (raising, lowering, k_mat, e_plus, e_minus):
+        arr.setflags(write=False)
+    return CyclicRep(
+        root=root, kind=kind, lam=lam, raising=raising, lowering=lowering,
+        k_mat=k_mat, e_plus=e_plus, e_minus=e_minus, unitary=unitary,
+    )
+
+
+def ladder_from_coefficients(root: PrimitiveRoot, a) -> CyclicRep:
+    """Assemble the ladder matrices from an explicit coefficient vector."""
+    return _assemble(root, "ladder", a)
 
 
 def build_ladder(
@@ -283,11 +309,16 @@ def build_ladder(
     *,
     base: float | None = None,
     phases=None,
-) -> LadderRep:
+) -> CyclicRep:
     """Realize the ladder representation K = diag(q^i), E+ = sum a_i |i><i+2|.
 
     phases supplies arg(a_i); the default leaves every coefficient real and
-    positive.  Any phase choice yields a unitarily equivalent representation.
+    positive.  Two phase vectors give unitarily equivalent representations
+    exactly when their sums agree mod 2 pi: E+^(2p+1) = (prod a_i) 1 is
+    central, so arg prod a_i = sum of the phases is an invariant, while the
+    diagonal gauge diag(exp(i t_i)) (the only intertwiners, K having
+    distinct eigenvalues) shifts phase i by t_i - t_(i+2) and so reaches
+    every phase vector with the same sum.
     """
     if magnitudes is None:
         magnitudes = solve_ladder_magnitudes(root, base)
@@ -328,7 +359,7 @@ def solve_generic_coefficients(
     lam: complex,
     base: float | None = None,
     phases=None,
-) -> GenericCyclicRep:
+) -> CyclicRep:
     """Solve the unitary closure chain for |g_m| and realize the matrices.
 
     Unitarity pins f_{m+1} = conj(g_m) and turns the commutator relation into
@@ -355,31 +386,9 @@ def solve_generic_coefficients(
     return generic_from_coefficients(root, lam, g, f)
 
 
-def generic_from_coefficients(
-    root: PrimitiveRoot, lam: complex, g, f
-) -> GenericCyclicRep:
+def generic_from_coefficients(root: PrimitiveRoot, lam: complex, g, f) -> CyclicRep:
     """Assemble weight-basis matrices from explicit coefficient vectors."""
-    n = root.order
-    lam = complex(lam)
-    g = np.asarray(g, dtype=complex).copy()
-    f = np.asarray(f, dtype=complex).copy()
-    for name, vec in (("g", g), ("f", f)):
-        if vec.shape != (n,):
-            raise ValueError(f"expected {n} {name} coefficients, got shape {vec.shape}")
-    k_mat = np.diag([lam * root.power(-2 * m) for m in range(n)])
-    e_plus = np.zeros((n, n), dtype=complex)
-    e_minus = np.zeros((n, n), dtype=complex)
-    for m in range(n):
-        e_plus[(m + 1) % n, m] = g[m]
-        e_minus[(m - 1) % n, m] = f[m]
-    unitary = abs(abs(lam) - 1.0) <= 1e-12 and bool(
-        np.allclose(f, np.conj(np.roll(g, 1)), rtol=0.0, atol=_BUILD_TOL)
-    )
-    _freeze(g, f, k_mat, e_plus, e_minus)
-    return GenericCyclicRep(
-        root=root, lam=lam, g=g, f=f, k_mat=k_mat, e_plus=e_plus, e_minus=e_minus,
-        unitary=unitary,
-    )
+    return _assemble(root, "generic", g, f, lam)
 
 
 # ----------------------------------------------------------------------
@@ -392,7 +401,8 @@ class CyclicityReport:
 
     epow_scalar is the product of the raising coefficients, the scalar c with
     E+^(2p+1) = c * 1.  The scalar grows exponentially with p, so the power
-    residuals are reported relative to its Frobenius norm (floored at one).
+    residuals are reported relative to its Frobenius norm (floored at one),
+    dividing before the norm is taken so the norm itself cannot overflow.
     """
 
     is_cyclic: bool
@@ -401,20 +411,16 @@ class CyclicityReport:
     lowering_residual: float
 
 
-def cyclicity_check(rep: LadderRep | GenericCyclicRep) -> CyclicityReport:
+def cyclicity_check(rep: CyclicRep) -> CyclicityReport:
     """Check that no state is annihilated and that E+-^(2p+1) are scalars."""
     n = rep.root.order
-    if isinstance(rep, LadderRep):
-        raising_coeffs, lowering_coeffs = rep.a, np.conj(rep.a)
-    else:
-        raising_coeffs, lowering_coeffs = rep.g, rep.f
-    scalar_plus = complex(np.prod(raising_coeffs))
-    scalar_minus = complex(np.prod(lowering_coeffs))
+    scalar_plus = complex(np.prod(rep.raising))
+    scalar_minus = complex(np.prod(rep.lowering))
 
     def power_residual(mat: np.ndarray, scalar: complex) -> float:
         power = np.linalg.matrix_power(mat, n)
         denom = max(1.0, abs(scalar) * math.sqrt(n))
-        return frobenius(power - scalar * np.eye(n)) / denom
+        return frobenius((power - scalar * np.eye(n)) / denom)
 
     no_zero_column = all(bool(np.all(np.any(mat != 0, axis=0))) for mat in (rep.e_plus, rep.e_minus))
     return CyclicityReport(
@@ -437,26 +443,27 @@ class IntertwinerResult:
     sigma: tuple[int, ...]
     lam: complex
     residual: float
-    generic: GenericCyclicRep
+    generic: CyclicRep
 
 
-def intertwiner(rep: LadderRep, s: int) -> IntertwinerResult:
+def intertwiner(rep: CyclicRep, s: int) -> IntertwinerResult:
     """Exhibit the ladder rep in weight-basis form via sigma(m) = (s - 2m) mod 2p+1.
 
     Relabeling v_m = |sigma(m)> diagonalizes K as q^s q^(-2m) and turns the
     step-down-by-two ladder shifts into the one-step cyclic shifts, with
     g_m = a_{sigma(m+1)} and f_m = conj(a_{sigma(m)}).
     """
+    if rep.kind != "ladder":
+        raise ValueError("intertwiner expects a ladder-form representation")
     n = rep.root.order
-    sigma = tuple(_label(s - 2 * m, n) for m in range(n))
+    m = np.arange(n)
+    slot = (s - 2 * m - 1) % n  # sigma(m) - 1
+    sigma = tuple((slot + 1).tolist())
     lam = rep.root.power(s)
-    g = np.array([rep.a[sigma[(m + 1) % n] - 1] for m in range(n)])
-    f = np.conj(np.array([rep.a[sigma[m] - 1] for m in range(n)]))
-    generic = generic_from_coefficients(rep.root, lam, g, f)
+    generic = generic_from_coefficients(rep.root, lam, rep.a[np.roll(slot, -1)], np.conj(rep.a[slot]))
 
     perm = np.zeros((n, n))
-    for m in range(n):
-        perm[sigma[m] - 1, m] = 1.0
+    perm[slot, m] = 1.0
     residual = max(
         frobenius(perm.T @ rep.k_mat @ perm - generic.k_mat),
         frobenius(perm.T @ rep.e_plus @ perm - generic.e_plus),
@@ -469,7 +476,11 @@ def intertwiner(rep: LadderRep, s: int) -> IntertwinerResult:
 # serialization
 
 
-def rep_from_json(obj: dict) -> LadderRep | GenericCyclicRep:
+def _complexes(pairs) -> list[complex]:
+    return [complex(re, im) for re, im in pairs]
+
+
+def rep_from_json(obj: dict) -> CyclicRep:
     """Rebuild a representation from its JSON form.
 
     Stored matrices are taken verbatim when present (so a corrupted file can
@@ -478,38 +489,11 @@ def rep_from_json(obj: dict) -> LadderRep | GenericCyclicRep:
     """
     root = PrimitiveRoot(int(obj["p"]), int(obj["k"]))
     kind = obj.get("kind", "ladder")
-    mats = obj.get("matrices")
     if kind == "ladder":
-        a = np.array([complex(re, im) for re, im in obj["coefficients"]])
-        if mats is None:
-            return ladder_from_coefficients(root, a)
-        a.setflags(write=False)
-        return LadderRep(
-            root=root,
-            a=a,
-            k_mat=matrix_from_json(mats["K"]),
-            e_plus=matrix_from_json(mats["Ep"]),
-            e_minus=matrix_from_json(mats["Em"]),
-        )
-    if kind == "generic":
+        lam, raising, lowering = None, _complexes(obj["coefficients"]), None
+    elif kind == "generic":
         lam = complex(obj["lambda"][0], obj["lambda"][1])
-        g = np.array([complex(re, im) for re, im in obj["coefficients"]["g"]])
-        f = np.array([complex(re, im) for re, im in obj["coefficients"]["f"]])
-        if mats is None:
-            return generic_from_coefficients(root, lam, g, f)
-        g.setflags(write=False)
-        f.setflags(write=False)
-        unitary = abs(abs(lam) - 1.0) <= 1e-12 and bool(
-            np.allclose(f, np.conj(np.roll(g, 1)), rtol=0.0, atol=_BUILD_TOL)
-        )
-        return GenericCyclicRep(
-            root=root,
-            lam=lam,
-            g=g,
-            f=f,
-            k_mat=matrix_from_json(mats["K"]),
-            e_plus=matrix_from_json(mats["Ep"]),
-            e_minus=matrix_from_json(mats["Em"]),
-            unitary=unitary,
-        )
-    raise ValueError(f"unknown representation kind {kind!r}")
+        raising, lowering = _complexes(obj["coefficients"]["g"]), _complexes(obj["coefficients"]["f"])
+    else:
+        raise ValueError(f"unknown representation kind {kind!r}")
+    return _assemble(root, kind, raising, lowering, lam, obj.get("matrices"))

@@ -400,15 +400,12 @@ def inner_product_mc(
     samples: int,
     seed: int,
     workers: int = 1,
-    quad_order: int = 32,
 ) -> InnerProductResult:
     """Importance-sampled scalar product on the deterministic stream.
 
     Each coordinate is drawn from exp(-|z|^2)/pi, the Gaussian-stripped
     integrand is averaged, and the result is scaled by pi^n.  Fixed
     (seed, samples) gives bit-identical output for any worker count.
-    quad_order is accepted and ignored: the Monte Carlo path takes the
-    auxiliary integral in closed form.
     """
     if spec_a.n_electrons != spec_b.n_electrons:
         raise ValueError(

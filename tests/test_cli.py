@@ -151,12 +151,19 @@ def test_large_ladder_report_is_one_compact_line(tmp_path, capsys):
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_non_finite_report_is_not_written(tmp_path, capsys):
     out_file = tmp_path / "cyclicity.json"
-    code, out, err = run(capsys, "ladder", "cyclicity", "--p", "86", "--k", "1", "-o", str(out_file))
+    code, out, err = run(capsys, "ladder", "cyclicity", "--p", "150", "--k", "1", "-o", str(out_file))
     assert code == 1
     assert not out_file.exists()
     assert err.startswith("failure:") and "non-finite" in err
-    code, out, err = run(capsys, "ladder", "cyclicity", "--p", "86", "--k", "1")
+    code, out, err = run(capsys, "ladder", "cyclicity", "--p", "150", "--k", "1")
     assert code == 1 and out == ""
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ladder_cyclicity_p86_k1_passes(capsys):
+    report = run_json(capsys, "ladder", "cyclicity", "--p", "86", "--k", "1")
+    assert report["result"]["is_cyclic"] is True
+    assert report["result"]["raising_residual"] < 1e-12
 
 
 def test_infeasible_base_is_usage_error(capsys):

@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 
 from hallrep.algebra import primitive_root, q_number, verify_relations
 from hallrep.cyclic import (
+    CyclicRep,
+    GenericCyclicRep,
     InfeasibleBaseError,
+    LadderRep,
     build_ladder,
     consolidated_residual,
     cyclicity_check,
@@ -143,6 +146,39 @@ def test_phases_leave_residuals_unchanged():
     assert np.array_equal(phased.e_minus, phased.e_plus.conj().T)
 
 
+def smallest_intertwining_singular_value(rep_a, rep_b):
+    """Smallest singular value of X -> (B X - X A) stacked over K, E+ and E-.
+
+    It vanishes exactly when a nonzero X intertwines the two triples; with
+    vec(B X - X A) = (I (x) B - A^T (x) I) vec(X) the map is a 3n^2 x n^2 matrix.
+    """
+    eye = np.eye(rep_a.dim)
+    stacked = np.vstack([
+        np.kron(eye, getattr(rep_b, name)) - np.kron(getattr(rep_a, name).T, eye)
+        for name in ("k_mat", "e_plus", "e_minus")
+    ])
+    return np.linalg.svd(stacked, compute_uv=False)[-1]
+
+
+@pytest.mark.parametrize(
+    "phases, equivalent",
+    [
+        ((0.3, -0.3, 0.0, 0.0, 0.0), True),
+        ((0.3, 0.1, 0.2, -0.6, 0.0), True),
+        ((2 * np.pi, 0.0, 0.0, 0.0, 0.0), True),
+        ((0.3, 0.0, 0.0, 0.0, 0.0), False),
+    ],
+)
+def test_phases_equivalent_exactly_when_sums_agree(phases, equivalent):
+    # E+^(2p+1) = (prod a_i) 1 is central, so only sum(phases) mod 2 pi survives
+    root = primitive_root(2)
+    gap = smallest_intertwining_singular_value(build_ladder(root), build_ladder(root, phases=phases))
+    if equivalent:
+        assert gap < 1e-12
+    else:
+        assert gap > 0.05
+
+
 def test_wrong_phase_length_rejected():
     with pytest.raises(ValueError, match="phases"):
         build_ladder(primitive_root(1), phases=[0.0, 0.0])
@@ -217,6 +253,32 @@ def test_cyclicity_generic_rep():
     assert report.is_cyclic
     assert report.epow_scalar == pytest.approx(complex(np.prod(rep.g)), abs=1e-12)
     assert report.raising_residual < 1e-10
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("p", [86, 118])
+def test_cyclicity_residual_finite_where_the_scalar_is_huge(p):
+    # |prod a| reaches 1e305 at p = 118; the residual is scaled before its norm
+    report = cyclicity_check(build_ladder(primitive_root(p, 1)))
+    assert report.is_cyclic
+    assert report.raising_residual < 1e-12
+    assert report.lowering_residual < 1e-12
+
+
+def test_one_type_for_both_forms():
+    root = primitive_root(3, 2)
+    ladder = build_ladder(root)
+    generic = solve_generic_coefficients(root, root.power(2))
+    assert type(ladder) is type(generic) is CyclicRep is LadderRep is GenericCyclicRep
+    assert (ladder.kind, generic.kind) == ("ladder", "generic")
+    assert np.array_equal(ladder.f, np.conj(ladder.a)) and ladder.unitary
+    assert_bitwise_equal(ladder.e_minus, ladder.e_plus.conj().T.copy())  # -0.0 of the conjugated zeros too
+    for rep in (ladder, generic):
+        again = rep.rebuild()
+        for name in ("raising", "lowering", "k_mat", "e_plus", "e_minus"):
+            assert_bitwise_equal(getattr(again, name), getattr(rep, name))
+    with pytest.raises(ValueError, match="ladder-form"):
+        intertwiner(generic, 1)
 
 
 def test_intertwiner_p1_s3():

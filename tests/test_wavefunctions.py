@@ -240,9 +240,9 @@ def test_mc_preconditions():
 
 def test_mc_handles_hierarchy_specs():
     spec = HierarchyR1Spec(a0=3, a1=2, b=1, n_electrons=2)
-    res = inner_product_mc(spec, spec, 2_000, seed=1, quad_order=8)
+    res = inner_product_mc(spec, spec, 2_000, seed=1)
     assert res.value.real > 0
-    again = inner_product_mc(spec, spec, 2_000, seed=1, quad_order=8)
+    again = inner_product_mc(spec, spec, 2_000, seed=1)
     assert res.value == again.value
 
 
