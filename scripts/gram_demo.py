@@ -9,9 +9,7 @@ Usage: python scripts/gram_demo.py [--samples 1000000] [--seed 0] [--csv out.csv
 
 import argparse
 
-import numpy as np
-
-from hallrep import LaughlinSpec, gram_matrix, inner_product_exact
+from hallrep import LaughlinSpec, gram_matrix
 
 
 def main():
@@ -26,7 +24,7 @@ def main():
     args = parser.parse_args()
 
     specs = [LaughlinSpec(m, args.electrons) for m in args.exponents]
-    exact = np.array([[inner_product_exact(a, b).value.real for b in specs] for a in specs])
+    exact = gram_matrix(specs, "exact").values().real
     mc = gram_matrix(specs, "mc", samples=args.samples, seed=args.seed, workers=args.workers)
     values, errs = mc.values().real, mc.stderrs()
 

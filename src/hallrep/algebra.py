@@ -19,6 +19,8 @@ import numpy as np
 __all__ = [
     "PrimitiveRoot",
     "RelationReport",
+    "complex_from_pairs",
+    "complex_to_pairs",
     "default_tolerance",
     "frobenius",
     "matrix_from_json",
@@ -239,22 +241,32 @@ def verify_relations(
     )
 
 
+def complex_to_pairs(values) -> list:
+    """[[re, im], ...] of complex values, flattened row-major, signed zeros kept."""
+    return np.ascontiguousarray(values, dtype=complex).reshape(-1).view(float).reshape(-1, 2).tolist()
+
+
+def complex_from_pairs(pairs) -> np.ndarray:
+    """The 1-d complex array of a [[re, im], ...] list; anything else raises ValueError."""
+    arr = np.array(pairs)  # ragged nesting raises ValueError here
+    if arr.dtype.kind not in "iuf" or arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError("expected a list of [re, im] pairs of numbers")
+    return np.ascontiguousarray(arr, dtype=float).view(complex)[:, 0]
+
+
 def matrix_to_json(mat) -> dict:
     """Dense complex matrix as {dim, entries: [[re, im], ...]} in row-major order."""
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    return {
-        "dim": int(mat.shape[0]),
-        "entries": np.ascontiguousarray(mat).reshape(-1).view(float).reshape(-1, 2).tolist(),
-    }
+    return {"dim": int(mat.shape[0]), "entries": complex_to_pairs(mat)}
 
 
 def matrix_from_json(obj) -> np.ndarray:
     dim = int(obj["dim"])
-    entries = obj["entries"]
-    if len(entries) != dim * dim:
-        raise ValueError(f"matrix payload has {len(entries)} entries, expected {dim * dim}")
-    out = np.array([complex(re, im) for re, im in entries]).reshape(dim, dim)
+    out = complex_from_pairs(obj["entries"])
+    if out.size != dim * dim:
+        raise ValueError(f"matrix payload has {out.size} entries, expected {dim * dim}")
+    out = out.reshape(dim, dim)
     out.setflags(write=False)
     return out

@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .algebra import PrimitiveRoot, verify_relations
+from .algebra import PrimitiveRoot, complex_from_pairs, complex_to_pairs, verify_relations
 from .cyclic import (
     InfeasibleBaseError,
     build_ladder,
@@ -76,11 +76,6 @@ def _json_arg(text: str):
     return json.loads(text)
 
 
-def _config_from_json(payload) -> np.ndarray:
-    coords = [complex(re, im) for re, im in payload]
-    return as_config(coords)
-
-
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -97,10 +92,6 @@ def _extract_rep(obj: dict):
 
 def _root_from_args(args) -> PrimitiveRoot:
     return PrimitiveRoot(args.p, args.k)
-
-
-def _pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
 
 
 # ----------------------------------------------------------------------
@@ -218,7 +209,7 @@ def _cmd_rep_intertwine(args):
     res = intertwiner(rep, args.s)
     result = {
         "sigma": list(res.sigma),
-        "lambda": _pair(res.lam),
+        "lambda": complex_to_pairs(res.lam)[0],
         "residual": res.residual,
         "tolerance": args.tol,
     }
@@ -268,7 +259,7 @@ def _cmd_ladder_cyclicity(args):
     )
     result = {
         "is_cyclic": report.is_cyclic,
-        "epow_scalar": _pair(report.epow_scalar),
+        "epow_scalar": complex_to_pairs(report.epow_scalar)[0],
         "raising_residual": report.raising_residual,
         "lowering_residual": report.lowering_residual,
         "tolerance": args.tol,
@@ -322,12 +313,12 @@ def _cmd_ff_index(args):
 
 def _cmd_wf_eval(args):
     spec = spec_from_json(args.spec)
-    config = _config_from_json(args.config)
+    config = as_config(complex_from_pairs(args.config))
     if isinstance(spec, LaughlinSpec):
         value = laughlin_eval(spec.m, as_config(config, spec.n_electrons))
     else:
         value = hierarchy_r1_eval(spec, config, args.quad_order)
-    return {"value": _pair(value)}, None, None
+    return {"value": complex_to_pairs(value)[0]}, None, None
 
 
 def _cmd_wf_inner(args):

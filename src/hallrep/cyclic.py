@@ -23,6 +23,8 @@ import numpy as np
 
 from .algebra import (
     PrimitiveRoot,
+    complex_from_pairs,
+    complex_to_pairs,
     frobenius,
     matrix_from_json,
     matrix_to_json,
@@ -232,10 +234,10 @@ class CyclicRep:
     def to_json(self) -> dict:
         obj = {"kind": self.kind, "p": self.root.p, "k": self.root.k}
         if self.kind == "ladder":
-            obj["coefficients"] = _pairs(self.raising)
+            obj["coefficients"] = complex_to_pairs(self.raising)
         else:
-            obj["lambda"] = [self.lam.real, self.lam.imag]
-            obj["coefficients"] = {"g": _pairs(self.raising), "f": _pairs(self.lowering)}
+            obj["lambda"] = complex_to_pairs(self.lam)[0]
+            obj["coefficients"] = {"g": complex_to_pairs(self.raising), "f": complex_to_pairs(self.lowering)}
         obj["matrices"] = {
             "K": matrix_to_json(self.k_mat),
             "Ep": matrix_to_json(self.e_plus),
@@ -245,11 +247,6 @@ class CyclicRep:
 
 
 LadderRep = GenericCyclicRep = CyclicRep
-
-
-def _pairs(vec: np.ndarray) -> list:
-    """[[re, im], ...] of a contiguous complex vector, signed zeros kept."""
-    return vec.view(float).reshape(-1, 2).tolist()
 
 
 def _assemble(root: PrimitiveRoot, kind: str, raising, lowering=None, lam=None, mats=None) -> CyclicRep:
@@ -476,10 +473,6 @@ def intertwiner(rep: CyclicRep, s: int) -> IntertwinerResult:
 # serialization
 
 
-def _complexes(pairs) -> list[complex]:
-    return [complex(re, im) for re, im in pairs]
-
-
 def rep_from_json(obj: dict) -> CyclicRep:
     """Rebuild a representation from its JSON form.
 
@@ -490,10 +483,10 @@ def rep_from_json(obj: dict) -> CyclicRep:
     root = PrimitiveRoot(int(obj["p"]), int(obj["k"]))
     kind = obj.get("kind", "ladder")
     if kind == "ladder":
-        lam, raising, lowering = None, _complexes(obj["coefficients"]), None
+        lam, raising, lowering = None, complex_from_pairs(obj["coefficients"]), None
     elif kind == "generic":
-        lam = complex(obj["lambda"][0], obj["lambda"][1])
-        raising, lowering = _complexes(obj["coefficients"]["g"]), _complexes(obj["coefficients"]["f"])
+        (lam,) = complex_from_pairs([obj["lambda"]])
+        raising, lowering = (complex_from_pairs(obj["coefficients"][key]) for key in ("g", "f"))
     else:
         raise ValueError(f"unknown representation kind {kind!r}")
     return _assemble(root, kind, raising, lowering, lam, obj.get("matrices"))

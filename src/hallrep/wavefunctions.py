@@ -300,27 +300,19 @@ def jastrow_monomials(m: int, n: int) -> dict[tuple[int, ...], int]:
     return terms
 
 
-def inner_product_exact(spec_a: WavefunctionSpec, spec_b: WavefunctionSpec) -> InnerProductResult:
-    """Pair the monomial expansions through the planar Gaussian moments.
-
-    Exact integer arithmetic times pi^n.  Only Laughlin-type specs of equal
-    electron count within the expansion degree bound are accepted.
-    """
-    for spec in (spec_a, spec_b):
-        if not isinstance(spec, LaughlinSpec):
-            raise ValueError("the exact path handles Laughlin-type specs only")
-    if spec_a.n_electrons != spec_b.n_electrons:
+def _exact_terms(spec: WavefunctionSpec) -> dict[tuple[int, ...], int]:
+    """Monomial expansion of one spec, checked against the exact path's limits."""
+    if not isinstance(spec, LaughlinSpec):
+        raise ValueError("the exact path handles Laughlin-type specs only")
+    if spec.degree > MAX_EXPANSION_DEGREE:
         raise ValueError(
-            f"specs must share the electron count, got {spec_a.n_electrons} and {spec_b.n_electrons}"
+            f"total degree {spec.degree} exceeds the expansion bound {MAX_EXPANSION_DEGREE}"
         )
-    n = spec_a.n_electrons
-    for spec in (spec_a, spec_b):
-        if spec.degree > MAX_EXPANSION_DEGREE:
-            raise ValueError(
-                f"total degree {spec.degree} exceeds the expansion bound {MAX_EXPANSION_DEGREE}"
-            )
-    terms_a = jastrow_monomials(spec_a.m, n)
-    terms_b = jastrow_monomials(spec_b.m, n)
+    return jastrow_monomials(spec.m, spec.n_electrons)
+
+
+def _pair_terms(terms_a, terms_b) -> int:
+    """Integer coefficient of pi^n: sum over shared monomials of c_a c_b prod(e!)."""
     coefficient = 0
     for expo, ca in terms_a.items():
         cb = terms_b.get(expo)
@@ -330,6 +322,21 @@ def inner_product_exact(spec_a: WavefunctionSpec, spec_b: WavefunctionSpec) -> I
         for e in expo:
             weight *= math.factorial(e)
         coefficient += ca * cb * weight
+    return coefficient
+
+
+def inner_product_exact(spec_a: WavefunctionSpec, spec_b: WavefunctionSpec) -> InnerProductResult:
+    """Pair the monomial expansions through the planar Gaussian moments.
+
+    Exact integer arithmetic times pi^n.  Only Laughlin-type specs of equal
+    electron count within the expansion degree bound are accepted.
+    """
+    if spec_a.n_electrons != spec_b.n_electrons:
+        raise ValueError(
+            f"specs must share the electron count, got {spec_a.n_electrons} and {spec_b.n_electrons}"
+        )
+    n = spec_a.n_electrons
+    coefficient = _pair_terms(_exact_terms(spec_a), _exact_terms(spec_b))
     return InnerProductResult(
         value=complex(coefficient * math.pi**n),
         method="exact",
@@ -339,14 +346,18 @@ def inner_product_exact(spec_a: WavefunctionSpec, spec_b: WavefunctionSpec) -> I
     )
 
 
-def _mc_pair_sums(specs, pairs, samples, seed, workers):
-    """Per-pair (sum f, sum Re(f)^2, sum Im(f)^2) with f = conj(v_a) v_b.
+def _mc_estimates(specs, pairs, samples, seed, workers):
+    """Per-pair (value, stderr): the mean of f = conj(v_a) v_b times pi^n.
 
     One shared coordinate stream feeds every pair; block partials are folded
     in block index order, so the totals are bit-identical for any worker
     count.  A diagonal pair sums |v|^2 = Re(v)^2 + Im(v)^2, so its total is
     exactly real.
     """
+    if samples < MIN_MC_SAMPLES:
+        raise ValueError(f"need at least {MIN_MC_SAMPLES} samples, got {samples}")
+    if workers < 1:
+        raise ValueError(f"workers must be positive, got {workers}")
     n = specs[0].n_electrons
     block_list = list(sampling.blocks(samples))
 
@@ -377,21 +388,13 @@ def _mc_pair_sums(specs, pairs, samples, seed, workers):
             (t0 + p0, t1 + p1, t2 + p2)
             for (t0, t1, t2), (p0, p1, p2) in zip(totals, part)
         ]
-    return totals
-
-
-def _mc_result(total, sq_re, sq_im, samples, seed, n) -> InnerProductResult:
-    mean = total / samples
-    var_re = max(0.0, (sq_re - total.real**2 / samples) / (samples - 1))
-    var_im = max(0.0, (sq_im - total.imag**2 / samples) / (samples - 1))
     scale = math.pi**n
-    return InnerProductResult(
-        value=complex(mean * scale),
-        method="mc",
-        stderr=scale * math.sqrt((var_re + var_im) / samples),
-        samples=samples,
-        seed=seed,
-    )
+    estimates = []
+    for total, sq_re, sq_im in totals:
+        var_re = max(0.0, (sq_re - total.real**2 / samples) / (samples - 1))
+        var_im = max(0.0, (sq_im - total.imag**2 / samples) / (samples - 1))
+        estimates.append((complex(total / samples * scale), scale * math.sqrt((var_re + var_im) / samples)))
+    return estimates
 
 
 def inner_product_mc(
@@ -411,16 +414,12 @@ def inner_product_mc(
         raise ValueError(
             f"specs must share the electron count, got {spec_a.n_electrons} and {spec_b.n_electrons}"
         )
-    if samples < MIN_MC_SAMPLES:
-        raise ValueError(f"need at least {MIN_MC_SAMPLES} samples, got {samples}")
-    if workers < 1:
-        raise ValueError(f"workers must be positive, got {workers}")
     if spec_a == spec_b:
         specs, pairs = [spec_a], [(0, 0)]
     else:
         specs, pairs = [spec_a, spec_b], [(0, 1)]
-    ((total, sq_re, sq_im),) = _mc_pair_sums(specs, pairs, samples, seed, workers)
-    return _mc_result(total, sq_re, sq_im, samples, seed, spec_a.n_electrons)
+    ((value, stderr),) = _mc_estimates(specs, pairs, samples, seed, workers)
+    return InnerProductResult(value=value, method="mc", stderr=stderr, samples=samples, seed=seed)
 
 
 # ----------------------------------------------------------------------
@@ -429,11 +428,17 @@ def inner_product_mc(
 
 @dataclass(frozen=True, eq=False)
 class GramMatrix:
-    """Hermitian matrix of pairwise scalar products of a spec family."""
+    """Hermitian matrix of pairwise scalar products of a spec family.
+
+    value and stderr are read-only (dim, dim) arrays; coefficients holds the
+    integer pi^n coefficients of an unnormalized exact Gram, else None.
+    """
 
     specs: tuple[WavefunctionSpec, ...]
     method: str
-    entries: tuple[tuple[InnerProductResult, ...], ...]
+    value: np.ndarray
+    stderr: np.ndarray
+    coefficients: tuple[tuple[int, ...], ...] | None = None
     samples: int = 0
     seed: int | None = None
     normalized: bool = False
@@ -443,10 +448,27 @@ class GramMatrix:
         return len(self.specs)
 
     def values(self) -> np.ndarray:
-        return np.array([[e.value for e in row] for row in self.entries])
+        return self.value
 
     def stderrs(self) -> np.ndarray:
-        return np.array([[e.stderr for e in row] for row in self.entries])
+        return self.stderr
+
+    @property
+    def entries(self) -> tuple[tuple[InnerProductResult, ...], ...]:
+        """One InnerProductResult per entry, derived from the arrays."""
+        pi_power = self.specs[0].n_electrons if self.coefficients else None
+        coefficients = self.coefficients or ((None,) * self.dim,) * self.dim
+        rows = zip(self.value.tolist(), self.stderr.tolist(), coefficients)
+        return tuple(
+            tuple(
+                InnerProductResult(
+                    value=v, method=self.method, stderr=e, samples=self.samples,
+                    seed=self.seed, exact_coefficient=c, pi_power=pi_power,
+                )
+                for v, e, c in zip(*row)
+            )
+            for row in rows
+        )
 
     def to_json(self) -> dict:
         return {
@@ -456,46 +478,17 @@ class GramMatrix:
             "seed": self.seed,
             "normalized": self.normalized,
             "entries": [
-                [
-                    {"re": float(e.value.real), "im": float(e.value.imag), "stderr": float(e.stderr)}
-                    for e in row
-                ]
-                for row in self.entries
+                [{"re": v.real, "im": v.imag, "stderr": e} for v, e in zip(values, stderrs)]
+                for values, stderrs in zip(self.value.tolist(), self.stderr.tolist())
             ],
         }
 
     def to_csv(self) -> str:
         lines = ["row,col,re,im,stderr"]
-        for i, row in enumerate(self.entries):
+        for i, row in enumerate(self.to_json()["entries"]):
             for j, e in enumerate(row):
-                lines.append(f"{i},{j},{e.value.real!r},{e.value.imag!r},{e.stderr!r}")
+                lines.append(f"{i},{j},{e['re']!r},{e['im']!r},{e['stderr']!r}")
         return "\n".join(lines) + "\n"
-
-
-def _normalize_entries(entries):
-    dim = len(entries)
-    norms = [math.sqrt(entries[i][i].value.real) for i in range(dim)]
-    for i, norm in enumerate(norms):
-        if not norm > 0:
-            raise ValueError(f"diagonal entry {i} is not positive; cannot normalize")
-    out = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            e = entries[i][j]
-            if i == j:
-                value, stderr = complex(1.0), e.stderr / (norms[i] * norms[j])
-            else:
-                scale = norms[i] * norms[j]
-                value, stderr = e.value / scale, e.stderr / scale
-            row.append(
-                InnerProductResult(
-                    value=value, method=e.method, stderr=stderr,
-                    samples=e.samples, seed=e.seed,
-                )
-            )
-        out.append(tuple(row))
-    return tuple(out)
 
 
 def gram_matrix(
@@ -509,6 +502,7 @@ def gram_matrix(
 ) -> GramMatrix:
     """Hermitian matrix of pairwise inner products.
 
+    The exact method expands each spec once and pairs the upper triangle.
     The mc method draws one shared coordinate stream per call, so every
     entry of one Gram matrix is estimated on common samples and conjugate
     symmetry is exact.  normalize rescales rows and columns by the diagonal
@@ -522,34 +516,43 @@ def gram_matrix(
         if spec.n_electrons != n:
             raise ValueError("all specs must share the electron count")
     dim = len(specs)
-    grid: list[list[InnerProductResult | None]] = [[None] * dim for _ in range(dim)]
-
+    pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
+    coefficients = None
     if method == "exact":
-        for i in range(dim):
-            for j in range(i, dim):
-                res = inner_product_exact(specs[i], specs[j])
-                grid[i][j] = res
-                grid[j][i] = res  # real symmetric on the Laughlin family
-        samples_used, seed_used = 0, None
+        terms = [_exact_terms(spec) for spec in specs]
+        exact = {(i, j): _pair_terms(terms[i], terms[j]) for i, j in pairs}
+        coefficients = tuple(tuple(exact[min(i, j), max(i, j)] for j in range(dim)) for i in range(dim))
+        estimates = [(exact[pair] * math.pi**n, 0.0) for pair in pairs]
+        samples, seed = 0, None
     elif method == "mc":
-        pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
-        stats = _mc_pair_sums(list(specs), pairs, samples, seed, workers)
-        for (i, j), (total, sq_re, sq_im) in zip(pairs, stats):
-            res = _mc_result(total, sq_re, sq_im, samples, seed, n)
-            grid[i][j] = res
-            if i != j:
-                grid[j][i] = InnerProductResult(
-                    value=res.value.conjugate(), method=res.method, stderr=res.stderr,
-                    samples=res.samples, seed=res.seed,
-                )
-        samples_used, seed_used = samples, seed
+        estimates = _mc_estimates(list(specs), pairs, samples, seed, workers)
     else:
         raise ValueError(f"unknown method {method!r}, expected 'exact' or 'mc'")
 
-    entries = tuple(tuple(row) for row in grid)
+    value = np.zeros((dim, dim), dtype=complex)
+    stderr = np.zeros((dim, dim))
+    for (i, j), (v, e) in zip(pairs, estimates):
+        # conjugate first: on the diagonal the unconjugated value must win,
+        # or its +0.0 imaginary part becomes -0.0
+        value[j, i] = v.conjugate()
+        value[i, j] = v
+        stderr[i, j] = stderr[j, i] = e
     if normalize:
-        entries = _normalize_entries(entries)
+        diag = value.diagonal().real
+        bad = np.flatnonzero(~(diag > 0))
+        if bad.size:
+            raise ValueError(f"diagonal entry {bad[0]} is not positive; cannot normalize")
+        norms = np.sqrt(diag)
+        scale = np.outer(norms, norms)
+        # real and imaginary parts apart: complex / float would multiply by a reciprocal
+        value.real /= scale
+        value.imag /= scale
+        np.fill_diagonal(value, 1.0)
+        stderr /= scale
+        coefficients = None
+    for arr in (value, stderr):
+        arr.setflags(write=False)
     return GramMatrix(
-        specs=specs, method=method, entries=entries,
-        samples=samples_used, seed=seed_used, normalized=normalize,
+        specs=specs, method=method, value=value, stderr=stderr, coefficients=coefficients,
+        samples=samples, seed=seed, normalized=normalize,
     )

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hallrep.algebra import (
+    complex_from_pairs,
+    complex_to_pairs,
     default_tolerance,
     frobenius,
     matrix_from_json,
@@ -201,6 +203,28 @@ def test_matrix_json_rejects_ragged_entry():
     entries = [[0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
     with pytest.raises(ValueError):
         matrix_from_json({"dim": 2, "entries": entries})
+
+
+def test_complex_pairs_roundtrip_keeps_signed_zeros():
+    values = np.array([complex(-0.0, 0.0), complex(1.5, -0.0), 2 - 3j])
+    pairs = complex_to_pairs(values)
+    assert pairs == [[0.0, 0.0], [1.5, 0.0], [2.0, -3.0]]
+    assert all(type(x) is float for pair in pairs for x in pair)
+    assert np.array_equal(np.signbit(np.array(pairs)), np.signbit(values.view(float).reshape(-1, 2)))
+    back = complex_from_pairs(pairs)
+    assert np.array_equal(back.view(float), values.view(float))
+    assert np.array_equal(np.signbit(back.view(float)), np.signbit(values.view(float)))
+    assert np.signbit(complex_to_pairs(complex(-0.0, 1.0))[0][0])
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [[1, 2, 3], [1, 2], [["a", 0]], [["1.5", 0]], [[True, False]], [[None, 1.0]], [[1.0, 2.0, 3.0]],
+     [[1.0], [1.0, 2.0]], [], None, 5, {"re": 1.0, "im": 0.0}],
+)
+def test_complex_from_pairs_rejects_anything_but_number_pairs(payload):
+    with pytest.raises(ValueError):
+        complex_from_pairs(payload)
 
 
 def test_default_tolerance_scales_with_dimension():

@@ -232,6 +232,43 @@ def test_wf_gram_normalized_exact_identity(capsys):
     assert entries[0][1]["re"] == 0.0 and entries[1][0]["re"] == 0.0
 
 
+@pytest.mark.parametrize(
+    "flags", [("--samples", "1"), ("--samples", "0"), ("--samples", "-5"), ("--samples", "10"), ("--workers", "0")]
+)
+def test_wf_gram_mc_bad_samples_or_workers_is_usage_error(capsys, flags):
+    specs = json.dumps([{"variant": "laughlin", "m": m, "n_electrons": 2} for m in (1, 3)])
+    code, out, err = run(capsys, "wf", "gram", "--specs", specs, "--method", "mc", *flags)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and flags[0].strip("-") in err
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda rep: rep.update(coefficients=[1, 2, 3]),
+        lambda rep: rep.update(coefficients=[["a", 0]] * 3),
+        lambda rep: rep["matrices"]["Ep"].update(entries=[0.0] * 9),
+    ],
+    ids=["bare-coefficients", "string-coefficients", "bare-matrix-entries"],
+)
+def test_rep_verify_malformed_pairs_is_usage_error(tmp_path, capsys, corrupt):
+    rep_file = tmp_path / "rep.json"
+    run(capsys, "ladder", "build", "--p", "1", "-o", str(rep_file))
+    payload = json.loads(rep_file.read_text())
+    corrupt(payload["result"])
+    rep_file.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "rep", "verify", "--in", str(rep_file))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "[re, im]" in err
+
+
+def test_wf_eval_malformed_config_is_usage_error(capsys):
+    spec = json.dumps({"variant": "laughlin", "m": 1, "n_electrons": 2})
+    code, out, err = run(capsys, "wf", "eval", "--spec", spec, "--config", "[1, 2]")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "[re, im]" in err
+
+
 HIERARCHY_SPECS = json.dumps([
     {"variant": "hierarchy_r1", "a0": 3, "a1": 2, "b": 1, "n_electrons": 2},
     {"variant": "hierarchy_r1", "a0": 3, "a1": -2, "b": -1, "n_electrons": 2},

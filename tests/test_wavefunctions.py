@@ -1,3 +1,4 @@
+import json
 import math
 from itertools import combinations, product
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hallrep import sampling
+from hallrep import sampling, wavefunctions
 from hallrep.wavefunctions import (
     GramMatrix,
     HierarchyR1Spec,
@@ -393,6 +394,64 @@ def test_gram_validation():
         gram_matrix([LaughlinSpec(1, 2), LaughlinSpec(1, 3)], "exact")
     with pytest.raises(ValueError, match="unknown method"):
         gram_matrix([LaughlinSpec(1, 2)], "quadrature")
+
+
+@pytest.mark.parametrize("ms, n", [((1, 3, 5), 3), ((1, 3, 5), 4), ((3, 3, 1), 4)])
+def test_gram_exact_matches_pairwise_inner_products(ms, n):
+    specs = [LaughlinSpec(m, n) for m in ms]
+    gram = gram_matrix(specs, "exact")
+    pairwise = [[inner_product_exact(a, b) for b in specs] for a in specs]
+    want = [[res.exact_coefficient for res in row] for row in pairwise]
+    assert [list(row) for row in gram.coefficients] == want
+    assert [[e.exact_coefficient for e in row] for row in gram.entries] == want
+    assert all(e.pi_power == n for row in gram.entries for e in row)
+    assert np.array_equal(gram.values(), np.array([[res.value for res in row] for row in pairwise]))
+
+
+def test_gram_exact_expands_each_spec_once(monkeypatch):
+    calls = []
+    expand = wavefunctions.jastrow_monomials
+    monkeypatch.setattr(wavefunctions, "jastrow_monomials", lambda m, n: calls.append((m, n)) or expand(m, n))
+    gram_matrix([LaughlinSpec(m, 3) for m in (1, 3, 5)], "exact")
+    assert calls == [(1, 3), (3, 3), (5, 3)]
+
+
+def test_gram_mc_diagonal_imaginary_parts_are_positive_zero():
+    specs = [LaughlinSpec(m, 2) for m in (1, 3, 5)]
+    for normalize in (False, True):
+        gram = gram_matrix(specs, "mc", samples=20_000, seed=4, normalize=normalize)
+        assert not np.any(np.signbit(np.diag(gram.values()).imag))
+        entries = gram.to_json()["entries"]
+        assert all(json.dumps(entries[i][i]["im"]) == "0.0" for i in range(3))
+
+
+def test_gram_normalize_divides_each_part_by_the_norms():
+    specs = [LaughlinSpec(m, 2) for m in (1, 3, 5)]
+    raw = gram_matrix(specs, "mc", samples=20_000, seed=4)
+    unit = gram_matrix(specs, "mc", samples=20_000, seed=4, normalize=True)
+    norms = [math.sqrt(raw.values()[i, i].real) for i in range(3)]
+    for i, j in product(range(3), repeat=2):
+        scale, v = norms[i] * norms[j], raw.values()[i, j]
+        assert unit.values()[i, j] == (1.0 if i == j else complex(v.real / scale, v.imag / scale))
+        assert unit.stderrs()[i, j] == raw.stderrs()[i, j] / scale
+
+
+def test_gram_arrays_are_read_only():
+    specs = [LaughlinSpec(m, 2) for m in (1, 3)]
+    for method in ("exact", "mc"):
+        gram = gram_matrix(specs, method, samples=5_000)
+        for arr in (gram.values(), gram.stderrs()):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 0
+
+
+@pytest.mark.parametrize(
+    "samples, workers, match",
+    [(1, 1, "samples"), (0, 1, "samples"), (-5, 1, "samples"), (10, 1, "samples"), (5_000, 0, "workers")],
+)
+def test_gram_mc_checks_samples_and_workers(samples, workers, match):
+    with pytest.raises(ValueError, match=match):
+        gram_matrix([LaughlinSpec(1, 2), LaughlinSpec(3, 2)], "mc", samples=samples, workers=workers)
 
 
 def test_gram_json_and_csv_export():
