@@ -23,6 +23,9 @@ import numpy as np
 
 from .algebra import (
     PrimitiveRoot,
+    _frobenius_sum,
+    _json_int,
+    _Monomial,
     complex_from_pairs,
     complex_to_pairs,
     frobenius,
@@ -271,11 +274,12 @@ def _assemble(root: PrimitiveRoot, kind: str, raising, lowering=None, lam=None, 
         j = np.arange(n)
         e_plus = np.zeros((n, n), dtype=complex)
         if kind == "ladder":
-            k_mat = np.diag([root.power(i) for i in range(1, n + 1)])
+            k_diag = np.array([root.power(i) for i in range(1, n + 1)])
+            k_mat = np.diag(k_diag)
             e_plus[j, (j + 2) % n] = raising
             e_minus = e_plus.conj().T.copy()
             # diagonal unit-modulus K: adjoint and inverse must agree
-            adjoint_residual = frobenius(k_mat.conj().T - np.linalg.inv(k_mat))
+            adjoint_residual = frobenius(np.conj(k_diag) - 1.0 / k_diag)
             if adjoint_residual > _BUILD_TOL:
                 raise ArithmeticError(f"K adjoint-inverse residual {adjoint_residual}")
         else:
@@ -409,14 +413,23 @@ class CyclicityReport:
 
 
 def cyclicity_check(rep: CyclicRep) -> CyclicityReport:
-    """Check that no state is annihilated and that E+-^(2p+1) are scalars."""
+    """Check that no state is annihilated and that E+-^(2p+1) are scalars.
+
+    A monomial E+- (at most one nonzero in each row and each column, as
+    every built representation has) is raised to the power 2p+1 in O(n log n)
+    by binary powering in np.linalg.matrix_power's order; any other matrix
+    takes the dense matrix_power.
+    """
     n = rep.root.order
     scalar_plus = complex(np.prod(rep.raising))
     scalar_minus = complex(np.prod(rep.lowering))
 
     def power_residual(mat: np.ndarray, scalar: complex) -> float:
-        power = np.linalg.matrix_power(mat, n)
         denom = max(1.0, abs(scalar) * math.sqrt(n))
+        mono = _Monomial.from_dense(mat)
+        if mono is not None:
+            return _frobenius_sum([(1, mono.power(n)), (-scalar, _Monomial.identity(n))], denom)
+        power = np.linalg.matrix_power(mat, n)
         return frobenius((power - scalar * np.eye(n)) / denom)
 
     no_zero_column = all(bool(np.all(np.any(mat != 0, axis=0))) for mat in (rep.e_plus, rep.e_minus))
@@ -459,13 +472,20 @@ def intertwiner(rep: CyclicRep, s: int) -> IntertwinerResult:
     lam = rep.root.power(s)
     generic = generic_from_coefficients(rep.root, lam, rep.a[np.roll(slot, -1)], np.conj(rep.a[slot]))
 
-    perm = np.zeros((n, n))
-    perm[slot, m] = 1.0
-    residual = max(
-        frobenius(perm.T @ rep.k_mat @ perm - generic.k_mat),
-        frobenius(perm.T @ rep.e_plus @ perm - generic.e_plus),
-        frobenius(perm.T @ rep.e_minus @ perm - generic.e_minus),
-    )
+    pairs = [(getattr(rep, name), getattr(generic, name)) for name in ("k_mat", "e_plus", "e_minus")]
+    monomials = [_Monomial.from_dense(mat) for pair in pairs for mat in pair]
+    if all(mat is not None for mat in monomials):
+        # the relabeling matrix has its one 1 of row slot[m] in column m
+        perm = _Monomial(np.argsort(slot), np.ones(n, dtype=complex))
+        perm_t = perm.adjoint()
+        residual = max(
+            _frobenius_sum([(1, perm_t @ ladder @ perm), (-1, weight)])
+            for ladder, weight in zip(monomials[::2], monomials[1::2])
+        )
+    else:
+        perm = np.zeros((n, n))
+        perm[slot, m] = 1.0
+        residual = max(frobenius(perm.T @ ladder @ perm - weight) for ladder, weight in pairs)
     return IntertwinerResult(sigma=sigma, lam=lam, residual=residual, generic=generic)
 
 
@@ -480,13 +500,19 @@ def rep_from_json(obj: dict) -> CyclicRep:
     be loaded and then fail verification); otherwise the matrices are
     realized from the coefficients.
     """
-    root = PrimitiveRoot(int(obj["p"]), int(obj["k"]))
+    root = PrimitiveRoot(_json_int(obj, "p"), _json_int(obj, "k"))
     kind = obj.get("kind", "ladder")
     if kind == "ladder":
         lam, raising, lowering = None, complex_from_pairs(obj["coefficients"]), None
     elif kind == "generic":
         (lam,) = complex_from_pairs([obj["lambda"]])
-        raising, lowering = (complex_from_pairs(obj["coefficients"][key]) for key in ("g", "f"))
+        coefficients = obj["coefficients"]
+        if not isinstance(coefficients, dict):
+            raise ValueError('generic coefficients must be an object {"g": [...], "f": [...]}')
+        raising, lowering = (complex_from_pairs(coefficients[key]) for key in ("g", "f"))
     else:
         raise ValueError(f"unknown representation kind {kind!r}")
-    return _assemble(root, kind, raising, lowering, lam, obj.get("matrices"))
+    mats = obj.get("matrices")
+    if mats is not None and not (isinstance(mats, dict) and all(key in mats for key in ("K", "Ep", "Em"))):
+        raise ValueError("matrices must be an object holding K, Ep and Em")
+    return _assemble(root, kind, raising, lowering, lam, mats)

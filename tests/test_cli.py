@@ -1,11 +1,12 @@
 import json
 import math
+import warnings
 
 import pytest
 
 from hallrep.algebra import PrimitiveRoot
 from hallrep.cli import main
-from hallrep.cyclic import build_ladder, rep_from_json
+from hallrep.cyclic import build_ladder, rep_from_json, solve_generic_coefficients
 
 
 def run(capsys, *argv):
@@ -159,6 +160,17 @@ def test_non_finite_report_is_not_written(tmp_path, capsys):
     assert code == 1 and out == ""
 
 
+def test_overflowing_cyclicity_warns_from_at_most_four_sites(capsys):
+    # the coefficient product and E+^(2p+1) overflow at p = 150, k = 1; numpy
+    # prints each warning once per site, four of them on the dense path
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        code, out, err = run(capsys, "ladder", "cyclicity", "--p", "150", "--k", "1")
+    assert code == 1 and out == "" and err.startswith("failure:")
+    sites = {(str(w.message), w.filename, w.lineno) for w in caught if issubclass(w.category, RuntimeWarning)}
+    assert len(sites) <= 4
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_ladder_cyclicity_p86_k1_passes(capsys):
     report = run_json(capsys, "ladder", "cyclicity", "--p", "86", "--k", "1")
@@ -260,6 +272,33 @@ def test_rep_verify_malformed_pairs_is_usage_error(tmp_path, capsys, corrupt):
     code, out, err = run(capsys, "rep", "verify", "--in", str(rep_file))
     assert code == 2 and out == ""
     assert err.startswith("error:") and "[re, im]" in err
+
+
+@pytest.mark.parametrize(
+    "kind, corrupt",
+    [
+        ("generic", lambda rep: rep.update(coefficients=rep["coefficients"]["g"])),
+        ("ladder", lambda rep: rep.update(p=None)),
+        ("ladder", lambda rep: rep.update(k=None)),
+        ("ladder", lambda rep: rep.update(p=1.5)),
+        ("generic", lambda rep: rep.update(k="1")),
+        ("ladder", lambda rep: rep.update(matrices=[rep["matrices"]["K"]])),
+        ("ladder", lambda rep: rep["matrices"].pop("Em")),
+        ("generic", lambda rep: rep["matrices"].update(K=None)),
+    ],
+    ids=["generic-list-coefficients", "null-p", "null-k", "float-p", "string-k",
+         "matrices-list", "matrices-missing-Em", "matrix-null"],
+)
+def test_rep_verify_malformed_shape_is_usage_error(tmp_path, capsys, kind, corrupt):
+    root = PrimitiveRoot(1)
+    rep = build_ladder(root) if kind == "ladder" else solve_generic_coefficients(root, root.power(1))
+    payload = json.loads(json.dumps(rep.to_json()))
+    corrupt(payload)
+    rep_file = tmp_path / "rep.json"
+    rep_file.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "rep", "verify", "--in", str(rep_file))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_wf_eval_malformed_config_is_usage_error(capsys):
