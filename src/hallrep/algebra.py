@@ -172,9 +172,7 @@ class _Monomial:
         return inverse
 
     def power(self, n: int) -> _Monomial:
-        """self**n for n >= 1, associated as np.linalg.matrix_power does."""
-        if n == 3:
-            return (self @ self) @ self
+        """self**n for n >= 1, by binary powering."""
         z = result = None
         while n > 0:
             z = self if z is None else z @ z

@@ -417,8 +417,7 @@ def cyclicity_check(rep: CyclicRep) -> CyclicityReport:
 
     A monomial E+- (at most one nonzero in each row and each column, as
     every built representation has) is raised to the power 2p+1 in O(n log n)
-    by binary powering in np.linalg.matrix_power's order; any other matrix
-    takes the dense matrix_power.
+    by binary powering; any other matrix takes the dense matrix_power.
     """
     n = rep.root.order
     scalar_plus = complex(np.prod(rep.raising))
@@ -472,20 +471,13 @@ def intertwiner(rep: CyclicRep, s: int) -> IntertwinerResult:
     lam = rep.root.power(s)
     generic = generic_from_coefficients(rep.root, lam, rep.a[np.roll(slot, -1)], np.conj(rep.a[slot]))
 
-    pairs = [(getattr(rep, name), getattr(generic, name)) for name in ("k_mat", "e_plus", "e_minus")]
-    monomials = [_Monomial.from_dense(mat) for pair in pairs for mat in pair]
-    if all(mat is not None for mat in monomials):
-        # the relabeling matrix has its one 1 of row slot[m] in column m
-        perm = _Monomial(np.argsort(slot), np.ones(n, dtype=complex))
-        perm_t = perm.adjoint()
-        residual = max(
-            _frobenius_sum([(1, perm_t @ ladder @ perm), (-1, weight)])
-            for ladder, weight in zip(monomials[::2], monomials[1::2])
-        )
-    else:
-        perm = np.zeros((n, n))
-        perm[slot, m] = 1.0
-        residual = max(frobenius(perm.T @ ladder @ perm - weight) for ladder, weight in pairs)
+    # conjugating by the relabeling matrix (its one 1 of row slot[m] in column m)
+    # reorders rows and columns alike: (P^T M P)[a, b] = M[slot[a], slot[b]]
+    relabel = np.ix_(slot, slot)
+    residual = max(
+        frobenius(getattr(rep, name)[relabel] - getattr(generic, name))
+        for name in ("k_mat", "e_plus", "e_minus")
+    )
     return IntertwinerResult(sigma=sigma, lam=lam, residual=residual, generic=generic)
 
 
