@@ -115,63 +115,53 @@ def frobenius(mat) -> float:
     return float(np.linalg.norm(np.asarray(mat)))
 
 
-class _Monomial:
-    """A square matrix with at most one nonzero in each row and each column.
+class _WrappedDiagonal:
+    """A square matrix whose nonzeros lie on one wrapped diagonal.
 
-    Row i holds val[i] at column perm[i]; perm is a permutation, and a row
-    with no nonzero gets a free column and the value 0.  Products, adjoints
-    and inverses cost O(n) and stay monomial, so the residuals of the cyclic
-    representations (diagonal K, weighted cyclic shifts E+-) never need a
-    dense n x n product.
+    Row i holds diag[i] at column (i + shift) mod n.  K is one (shift 0), and
+    so is each weighted cyclic shift E+- of the cyclic representations.
+    Products, adjoints and inverses stay on one wrapped diagonal and cost a
+    roll and a multiply, so their residuals never need a dense n x n product.
     """
 
-    __slots__ = ("perm", "val")
+    __slots__ = ("diag", "shift")
 
-    def __init__(self, perm: np.ndarray, val: np.ndarray):
-        self.perm = perm
-        self.val = val
-
-    @classmethod
-    def identity(cls, n: int) -> _Monomial:
-        return cls(np.arange(n), np.ones(n, dtype=complex))
+    def __init__(self, diag: np.ndarray, shift: int):
+        self.diag = diag
+        self.shift = shift % len(diag)
 
     @classmethod
-    def from_dense(cls, mat: np.ndarray) -> _Monomial | None:
-        """The monomial form of a square matrix, or None when it is not monomial."""
-        n = mat.shape[0]
-        rows, cols = np.nonzero(mat)  # row-major, so a repeated row is adjacent
-        if np.any(rows[1:] == rows[:-1]) or np.any(np.bincount(cols, minlength=n) > 1):
+    def identity(cls, n: int) -> _WrappedDiagonal:
+        return cls(np.ones(n, dtype=complex), 0)
+
+    @classmethod
+    def from_dense(cls, mat: np.ndarray) -> _WrappedDiagonal | None:
+        """The wrapped-diagonal form of a square matrix, or None when it has none."""
+        nonzero = mat != 0
+        if not nonzero.size:
             return None
-        perm = np.empty(n, dtype=np.intp)
-        val = np.zeros(n, dtype=complex)
-        perm[rows] = cols
-        val[rows] = mat[rows, cols]
-        empty_rows = np.ones(n, dtype=bool)
-        empty_rows[rows] = False
-        free_cols = np.ones(n, dtype=bool)
-        free_cols[cols] = False
-        perm[empty_rows] = np.flatnonzero(free_cols)
-        return cls(perm, val)
+        n = mat.shape[0]
+        row, col = divmod(int(np.argmax(nonzero)), n)  # the first nonzero, or (0, 0)
+        i = np.arange(n)
+        j = (i + col - row) % n
+        if np.count_nonzero(nonzero[i, j]) != np.count_nonzero(nonzero):
+            return None
+        return cls(mat[i, j], col - row)
 
-    def __matmul__(self, other: _Monomial) -> _Monomial:
-        # (A B)[i, perm_B[perm_A[i]]] = A[i, perm_A[i]] * B[perm_A[i], perm_B[perm_A[i]]]
-        return _Monomial(other.perm[self.perm], self.val * other.val[self.perm])
+    def __matmul__(self, other: _WrappedDiagonal) -> _WrappedDiagonal:
+        # (A B)[i, i + a + b] = A[i, i + a] * B[i + a, i + a + b]
+        return _WrappedDiagonal(self.diag * np.roll(other.diag, -self.shift), self.shift + other.shift)
 
-    def adjoint(self) -> _Monomial:
-        perm = np.empty_like(self.perm)
-        val = np.empty_like(self.val)
-        perm[self.perm] = np.arange(len(self.perm))
-        val[self.perm] = np.conj(self.val)
-        return _Monomial(perm, val)
+    def adjoint(self) -> _WrappedDiagonal:
+        # A^H[j, j - s] = conj(A[j - s, j])
+        return _WrappedDiagonal(np.conj(np.roll(self.diag, self.shift)), -self.shift)
 
-    def inv(self) -> _Monomial:
-        if not np.all(self.val != 0):
+    def inv(self) -> _WrappedDiagonal:
+        if not np.all(self.diag != 0):
             raise np.linalg.LinAlgError("Singular matrix")
-        inverse = self.adjoint()
-        inverse.val = 1.0 / self.val[inverse.perm]
-        return inverse
+        return _WrappedDiagonal(1.0 / np.roll(self.diag, self.shift), -self.shift)
 
-    def power(self, n: int) -> _Monomial:
+    def power(self, n: int) -> _WrappedDiagonal:
         """self**n for n >= 1, by binary powering."""
         z = result = None
         while n > 0:
@@ -183,20 +173,20 @@ class _Monomial:
 
 
 def _frobenius_sum(terms, scale: float = 1.0) -> float:
-    """Frobenius norm of (sum of c * M over (c, M) in terms) / scale, M monomial.
+    """Frobenius norm of (sum of c * M over (c, M) in terms) / scale, M wrapped-diagonal.
 
-    Entries that land on the same position are added, in term order, after
-    one sort of the positions.  A coefficient of exactly 1 is not multiplied
+    Two shifts never share a position, so terms on the same shift are added
+    entrywise, in term order.  A coefficient of exactly 1 is not multiplied
     in, and the division by the real scale runs on the real and imaginary
     parts: complex arithmetic with 1+0j would turn an overflowed inf entry
     into nan and raise numpy's invalid-value warning.
     """
-    n = len(terms[0][1].perm)
-    keys = np.concatenate([np.arange(n) * n + mat.perm for _, mat in terms])
-    vals = np.concatenate([mat.val if c == 1 else c * mat.val for c, mat in terms])
-    _, slot = np.unique(keys, return_inverse=True)
-    summed = np.stack([np.bincount(slot, weights=part) for part in (vals.real, vals.imag)], axis=-1)
-    return frobenius(np.ascontiguousarray(summed / scale).view(complex))
+    by_shift = {}
+    for c, mat in terms:
+        part = mat.diag if c == 1 else c * mat.diag
+        by_shift[mat.shift] = by_shift.get(mat.shift, 0) + part
+    summed = np.concatenate(list(by_shift.values()))
+    return frobenius(summed.view(float) / scale)
 
 
 def default_tolerance(dim: int) -> float:
@@ -268,11 +258,11 @@ def verify_relations(
     The report records which conjugation convention actually holds instead
     of asserting one.
 
-    When K, E+ and E- are all monomial (at most one nonzero in each row and
-    each column, as every representation built by hallrep.cyclic is), the
-    residuals are formed from O(n) products in O(n log n) time; any other
-    input takes dense O(n^3) products.  Both give the same residuals up to
-    rounding.
+    When the nonzeros of each of K, E+ and E- lie on one wrapped diagonal
+    (row i at column (i + s) mod n for one offset s per matrix, as in every
+    representation hallrep.cyclic builds), the residuals are formed from
+    rolled vectors in O(n); any other input takes dense O(n^3) products.
+    Both give the same residuals up to rounding.
     """
     k_mat = np.asarray(k_mat, dtype=complex)
     e_plus = np.asarray(e_plus, dtype=complex)
@@ -286,11 +276,11 @@ def verify_relations(
     if tol is None:
         tol = default_tolerance(dim)
 
-    monomials = [_Monomial.from_dense(mat) for mat in (k_mat, e_plus, e_minus)]
-    if any(mat is None for mat in monomials):
+    wrapped = [_WrappedDiagonal.from_dense(mat) for mat in (k_mat, e_plus, e_minus)]
+    if any(mat is None for mat in wrapped):
         residuals = _dense_residuals(k_mat, e_plus, e_minus, root)
     else:
-        residuals = _monomial_residuals(*monomials, root)
+        residuals = _wrapped_residuals(*wrapped, root)
     commutator_residual, res_plus, res_minus, unitarity = residuals
 
     plus_ok = res_plus <= tol
@@ -343,8 +333,8 @@ def _dense_residuals(k_mat, e_plus, e_minus, root: PrimitiveRoot):
     return commutator_residual, res_plus, res_minus, unitarity
 
 
-def _monomial_residuals(k_mat: _Monomial, e_plus: _Monomial, e_minus: _Monomial, root: PrimitiveRoot):
-    """The residuals of _dense_residuals from monomial factors, in O(n log n)."""
+def _wrapped_residuals(k_mat: _WrappedDiagonal, e_plus: _WrappedDiagonal, e_minus: _WrappedDiagonal, root: PrimitiveRoot):
+    """The residuals of _dense_residuals from wrapped-diagonal factors, in O(n)."""
     q = root.value
     k_inv = k_mat.inv()
     step = q - 1.0 / q
@@ -365,7 +355,7 @@ def _monomial_residuals(k_mat: _Monomial, e_plus: _Monomial, e_minus: _Monomial,
         _frobenius_sum([(1, conj_minus), (-q2, e_minus)]),
     )
     unitarity = (
-        _frobenius_sum([(1, k_mat.adjoint() @ k_mat), (-1, _Monomial.identity(len(k_mat.perm)))]),
+        _frobenius_sum([(1, k_mat.adjoint() @ k_mat), (-1, _WrappedDiagonal.identity(len(k_mat.diag)))]),
         _frobenius_sum([(1, e_minus.adjoint()), (-1, e_plus)]),
     )
     return commutator_residual, res_plus, res_minus, unitarity

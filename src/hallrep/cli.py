@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import os
 import sys
 
@@ -70,6 +71,13 @@ def _int_list(text: str) -> list[int]:
 
 def _float_list(text: str) -> list[float]:
     return [float(part) for part in text.split(",") if part.strip()]
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)  # argparse reports the ValueError of a non-number
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _json_arg(text: str):
@@ -203,10 +211,7 @@ def _cmd_rep_verify(args):
 
 
 def _cmd_rep_intertwine(args):
-    rep = _extract_rep(_load_json(args.infile))
-    if rep.kind != "ladder":
-        raise ValueError("intertwine expects a ladder-form representation file")
-    res = intertwiner(rep, args.s)
+    res = intertwiner(_extract_rep(_load_json(args.infile)), args.s)
     result = {
         "sigma": list(res.sigma),
         "lambda": complex_to_pairs(res.lam)[0],
@@ -390,11 +395,11 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--in", dest="infile", required=True, help="representation JSON file")
     cmd = sub(rep_sub, "verify", _cmd_rep_verify, "verify the defining relations of a stored representation")
     cmd.add_argument("--in", dest="infile", required=True, help="representation JSON file")
-    cmd.add_argument("--tol", type=float, default=None, help="Frobenius tolerance (default: 1e-10 * dim)")
+    cmd.add_argument("--tol", type=_finite_float, default=None, help="Frobenius tolerance (default: 1e-10 * dim)")
     cmd = sub(rep_sub, "intertwine", _cmd_rep_intertwine, "relabel a ladder rep into weight-basis form")
     cmd.add_argument("--in", dest="infile", required=True, help="ladder representation JSON file")
     cmd.add_argument("--s", type=int, required=True, help="integer exponent; lambda = q^s")
-    cmd.add_argument("--tol", type=float, default=INTERTWINER_TOL, help="residual tolerance")
+    cmd.add_argument("--tol", type=_finite_float, default=INTERTWINER_TOL, help="residual tolerance")
 
     # ladder
     ladder = groups.add_parser("ladder", help="ladder-form representations")
@@ -417,9 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--base", type=float, default=None, help="used when --in is absent")
         cmd.add_argument("--phases", type=_float_list, default=None, help="used when --in is absent")
         if tol_default is None:
-            cmd.add_argument("--tol", type=float, default=None, help="Frobenius tolerance (default: 1e-10 * dim)")
+            cmd.add_argument("--tol", type=_finite_float, default=None, help="Frobenius tolerance (default: 1e-10 * dim)")
         else:
-            cmd.add_argument("--tol", type=float, default=tol_default, help="residual tolerance")
+            cmd.add_argument("--tol", type=_finite_float, default=tol_default, help="residual tolerance")
 
     # ff
     ff = groups.add_parser("ff", help="filling-factor continued fractions")

@@ -1,7 +1,8 @@
 """Cyclic representation builders for the deformed sl(2) algebra.
 
 One type, CyclicRep, holds both realizations of the (2p+1)-dimensional
-unitary cyclic representation, a diagonal K plus one weighted cyclic shift:
+unitary cyclic representation, a diagonal K plus one weighted cyclic shift,
+each on one wrapped diagonal:
 
 * ladder form: K diagonal with entries q^i over basis labels i = 1..2p+1 and
   a raising operator stepping i down by two, with coefficient magnitudes
@@ -16,6 +17,7 @@ label arithmetic wraps modulo 2p+1.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -25,7 +27,7 @@ from .algebra import (
     PrimitiveRoot,
     _frobenius_sum,
     _json_int,
-    _Monomial,
+    _WrappedDiagonal,
     complex_from_pairs,
     complex_to_pairs,
     frobenius,
@@ -77,6 +79,44 @@ def _label(i: int, order: int) -> int:
     return (i - 1) % order + 1
 
 
+def _closed_chain(root: PrimitiveRoot, increments) -> tuple[np.ndarray, float]:
+    """Running sums around a closed chain of squared magnitudes.
+
+    increments[t] is the rise from point t-1 to point t of the 2p+1 points
+    on the cycle, so increments[0] closes it back to the base point 0.  Point
+    t holds base + sums[t], with sums[0] = 0, so the base point holds the
+    base exactly.  The closing sum must vanish to rounding.  Also returns the
+    feasibility infimum, the smallest base keeping every point positive.
+    """
+    increments = np.asarray(increments, dtype=float)
+    sums = np.concatenate(([0.0], np.cumsum(increments[1:])))
+    total = sums[-1] + increments[0]
+    if abs(total) > _CLOSURE_TOL * root.order:
+        raise ArithmeticError(f"closure sum {total} did not vanish for p={root.p}, k={root.k}")
+    return sums, max(0.0, -float(sums.min()))
+
+
+def _checked_base(base: float | None, infimum: float) -> float:
+    """The free base value, defaulting to the infimum plus one."""
+    if base is None:
+        return infimum + 1.0
+    if not math.isfinite(base):
+        raise ValueError(f"base must be a finite number, got {base}")
+    if base <= infimum:
+        raise InfeasibleBaseError(base, infimum)
+    return base
+
+
+def _phase_factors(phases, n: int) -> np.ndarray:
+    """exp(i * phase) for n finite coefficient phases; None gives all ones."""
+    phases = np.zeros(n) if phases is None else np.asarray(phases, dtype=float)
+    if phases.shape != (n,):
+        raise ValueError(f"expected {n} phases, got shape {phases.shape}")
+    if not np.all(np.isfinite(phases)):
+        raise ValueError("phases must be finite numbers")
+    return np.exp(1j * phases)
+
+
 # ----------------------------------------------------------------------
 # ladder-form magnitudes
 
@@ -85,8 +125,8 @@ def _label(i: int, order: int) -> int:
 class MagnitudeSolution:
     """Squared ladder-coefficient magnitudes |a_i|^2 for i = 1..2p+1.
 
-    base is the free value |a_{2p+1}|^2; infimum_base is the smallest base
-    that keeps the whole chain strictly positive.
+    base is the free value, |a_{2p+1}|^2 exactly; infimum_base is the
+    smallest base that keeps the whole chain strictly positive.
     """
 
     root: PrimitiveRoot
@@ -103,30 +143,19 @@ class MagnitudeSolution:
         return self.magnitudes[_label(i, self.root.order) - 1]
 
 
-def _step2_prefix_sums(root: PrimitiveRoot) -> tuple[dict, float]:
-    """Prefix sums of [i] along the step-2 visiting order 2, 4, ..., 2p+1.
+def _ladder_chain(root: PrimitiveRoot) -> tuple[np.ndarray, float]:
+    """The chain |a_i|^2 - |a_{i-2}|^2 = [i] from the base point 2p+1.
 
-    gcd(2, 2p+1) = 1, so the chain hits every label exactly once, and the
-    full-cycle sum of q-integers vanishes identically.
+    Point t is label 2t (mod 2p+1); gcd(2, 2p+1) = 1, so the chain visits
+    every label once, and the full-cycle sum of q-integers vanishes.
     """
     n = root.order
-    prefix: dict[int, float] = {}
-    running = 0.0
-    for t in range(1, n + 1):
-        label = _label(2 * t, n)
-        running += q_number(label, root)
-        prefix[label] = running
-    if abs(running) > _CLOSURE_TOL * n:
-        raise ArithmeticError(
-            f"cyclic closure sum {running} did not vanish for p={root.p}, k={root.k}"
-        )
-    infimum = max(0.0, max(-s for s in prefix.values()))
-    return prefix, infimum
+    return _closed_chain(root, [q_number(_label(2 * t, n), root) for t in range(n)])
 
 
 def ladder_infimum_base(root: PrimitiveRoot) -> float:
     """Smallest |a_{2p+1}|^2 keeping all squared magnitudes positive."""
-    return _step2_prefix_sums(root)[1]
+    return _ladder_chain(root)[1]
 
 
 def solve_ladder_magnitudes(
@@ -138,14 +167,12 @@ def solve_ladder_magnitudes(
     re-checked against the equivalent three-block form of the recurrences so
     a transcription slip in either form trips the other.
     """
-    prefix, infimum = _step2_prefix_sums(root)
-    if base is None:
-        base = infimum + 1.0
-    if base <= infimum:
-        raise InfeasibleBaseError(base, infimum)
-    mags = tuple(base + prefix[i] for i in range(1, root.order + 1))
+    sums, infimum = _ladder_chain(root)
+    base = _checked_base(base, infimum)
+    mags = np.empty(root.order)
+    mags[(2 * np.arange(root.order) - 1) % root.order] = base + sums  # point t is label 2t, slot 2t-1
     solution = MagnitudeSolution(
-        root=root, base=float(base), magnitudes=mags, infimum_base=infimum
+        root=root, base=float(base), magnitudes=tuple(mags.tolist()), infimum_base=infimum
     )
     cross_check = three_block_residual(solution)
     if cross_check > 1e-10:
@@ -325,34 +352,19 @@ def build_ladder(
         magnitudes = solve_ladder_magnitudes(root, base)
     elif magnitudes.root != root:
         raise ValueError("magnitude solution was computed for a different root")
-    n = root.order
-    if phases is None:
-        phases = np.zeros(n)
-    phases = np.asarray(phases, dtype=float)
-    if phases.shape != (n,):
-        raise ValueError(f"expected {n} phases, got shape {phases.shape}")
-    a = np.sqrt(np.asarray(magnitudes.magnitudes)) * np.exp(1j * phases)
+    a = np.sqrt(np.asarray(magnitudes.magnitudes)) * _phase_factors(phases, root.order)
     return ladder_from_coefficients(root, a)
 
 
-def _weight_prefix_sums(root: PrimitiveRoot, lam: complex) -> tuple[list, float]:
-    """Prefix sums of the closure increments Im(lam q^(-2m))/sin(theta)."""
-    n = root.order
+def _weight_chain(root: PrimitiveRoot, lam: complex) -> tuple[np.ndarray, float]:
+    """The weight chain |g_m|^2 - |g_{m-1}|^2 = -Im(lam q^(-2m))/sin(theta) from m = 0."""
     sin_theta = root.sin_multiple(1)
-    increments = [(lam * root.power(-2 * m)).imag / sin_theta for m in range(n)]
-    prefix = [0.0]
-    for m in range(1, n):
-        prefix.append(prefix[-1] + increments[m])
-    total = prefix[-1] + increments[0]
-    if abs(total) > _CLOSURE_TOL * n:
-        raise ArithmeticError(f"weight-cycle closure sum {total} did not vanish")
-    infimum = max(prefix)
-    return prefix, infimum
+    return _closed_chain(root, [-(lam * root.power(-2 * m)).imag / sin_theta for m in range(root.order)])
 
 
 def generic_infimum_base(root: PrimitiveRoot, lam: complex) -> float:
     """Smallest |g_0|^2 keeping the whole unitary chain positive."""
-    return _weight_prefix_sums(root, lam)[1]
+    return _weight_chain(root, lam)[1]
 
 
 def solve_generic_coefficients(
@@ -369,20 +381,11 @@ def solve_generic_coefficients(
     |g_0|^2 stays free and defaults to the feasibility infimum plus one.
     """
     lam = complex(lam)
-    if abs(abs(lam) - 1.0) > 1e-12:
-        raise ValueError(f"lambda must be unit modulus, got |lambda| = {abs(lam)}")
-    prefix, infimum = _weight_prefix_sums(root, lam)
-    if base is None:
-        base = infimum + 1.0
-    if base <= infimum:
-        raise InfeasibleBaseError(base, infimum)
-    n = root.order
-    if phases is None:
-        phases = np.zeros(n)
-    phases = np.asarray(phases, dtype=float)
-    if phases.shape != (n,):
-        raise ValueError(f"expected {n} phases, got shape {phases.shape}")
-    g = np.sqrt(base - np.asarray(prefix)) * np.exp(1j * phases)
+    if not cmath.isfinite(lam) or abs(abs(lam) - 1.0) > 1e-12:
+        raise ValueError(f"lambda must be a finite number of unit modulus, got {lam}")
+    sums, infimum = _weight_chain(root, lam)
+    base = _checked_base(base, infimum)
+    g = np.sqrt(base + sums) * _phase_factors(phases, root.order)
     f = np.conj(np.roll(g, 1))  # f_{m+1} = conj(g_m)
     return generic_from_coefficients(root, lam, g, f)
 
@@ -415,9 +418,9 @@ class CyclicityReport:
 def cyclicity_check(rep: CyclicRep) -> CyclicityReport:
     """Check that no state is annihilated and that E+-^(2p+1) are scalars.
 
-    A monomial E+- (at most one nonzero in each row and each column, as
-    every built representation has) is raised to the power 2p+1 in O(n log n)
-    by binary powering; any other matrix takes the dense matrix_power.
+    An E+- on one wrapped diagonal, as in every built representation, is
+    raised to the power 2p+1 in O(n log n) by binary powering; any other
+    matrix takes the dense matrix_power.
     """
     n = rep.root.order
     scalar_plus = complex(np.prod(rep.raising))
@@ -425,9 +428,9 @@ def cyclicity_check(rep: CyclicRep) -> CyclicityReport:
 
     def power_residual(mat: np.ndarray, scalar: complex) -> float:
         denom = max(1.0, abs(scalar) * math.sqrt(n))
-        mono = _Monomial.from_dense(mat)
-        if mono is not None:
-            return _frobenius_sum([(1, mono.power(n)), (-scalar, _Monomial.identity(n))], denom)
+        wrapped = _WrappedDiagonal.from_dense(mat)
+        if wrapped is not None:
+            return _frobenius_sum([(1, wrapped.power(n)), (-scalar, _WrappedDiagonal.identity(n))], denom)
         power = np.linalg.matrix_power(mat, n)
         return frobenius((power - scalar * np.eye(n)) / denom)
 

@@ -127,6 +127,17 @@ def test_verify_relations_dimension_mismatch():
     root = primitive_root(1)
     with pytest.raises(ValueError, match="shape"):
         verify_relations(np.eye(3), np.zeros((4, 4)), np.zeros((3, 3)), root)
+    with pytest.raises(ValueError, match="K must be square"):
+        verify_relations(np.eye(3)[:2], np.zeros((3, 3)), np.zeros((3, 3)), root)
+
+
+def test_verify_relations_detects_the_other_conjugation_sign():
+    # swapping E+ and E- swaps which of q^(+-2) the conjugation by K gives
+    root = primitive_root(2)
+    rep = build_ladder(root)
+    report = verify_relations(rep.k_mat, rep.e_minus, rep.e_plus, root)
+    assert report.detected_conjugation_sign == 2
+    assert report.conjugation_residual_plus < 1e-12 < report.conjugation_residual_minus
 
 
 def test_verify_relations_unitary_conjugation_invariance():

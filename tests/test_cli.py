@@ -352,3 +352,64 @@ def test_table_format(capsys, monkeypatch):
     code, out, _ = run(capsys, "ladder", "verify", "--p", "1", "--format", "table")
     assert code == 0
     assert "verdict" in out and "PASS" in out and "\x1b[" not in out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ladder", "build", "--p", "2", "--base", "nan"),
+        ("ladder", "build", "--p", "2", "--base", "inf"),
+        ("ladder", "build", "--p", "2", "--phases", "nan,0,0,0,0"),
+        ("rep", "solve", "--p", "2", "--lam-phase", "nan"),
+        ("ladder", "verify", "--p", "2", "--tol", "nan"),
+        ("ladder", "cyclicity", "--p", "2", "--tol", "nan"),
+    ],
+    ids=["base-nan", "base-inf", "phases-nan", "lam-phase-nan", "verify-tol-nan", "cyclicity-tol-nan"],
+)
+def test_non_finite_number_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "error:" in err and "finite" in err
+
+
+def _generic_payload():
+    root = PrimitiveRoot(1)
+    return solve_generic_coefficients(root, root.power(1)).to_json()
+
+
+@pytest.mark.parametrize(
+    "payload, argv, message",
+    [
+        (_generic_payload, ("rep", "intertwine", "--s", "1"), "ladder-form"),
+        (_generic_payload, ("ladder", "verify"), "ladder-form"),
+        (_generic_payload, ("ladder", "cyclicity"), "ladder-form"),
+        (lambda: {"result": {"p": 1}}, ("rep", "verify"), "does not contain a serialized representation"),
+        (lambda: dict(build_ladder(PrimitiveRoot(1)).to_json(), kind="other"), ("rep", "verify"), "unknown representation kind"),
+        (lambda: {"kind": "ladder", "p": 1, "k": 1, "coefficients": [[1.0, 0.0]] * 2}, ("rep", "verify"), "expected 3 coefficients"),
+    ],
+    ids=["intertwine-generic", "verify-generic", "cyclicity-generic", "no-representation",
+         "unknown-kind", "wrong-coefficient-count"],
+)
+def test_unusable_representation_file_is_usage_error(tmp_path, capsys, payload, argv, message):
+    rep_file = tmp_path / "rep.json"
+    rep_file.write_text(json.dumps(payload()))
+    code, out, err = run(capsys, *argv, "--in", str(rep_file))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and message in err
+
+
+def test_ladder_build_parses_phases(capsys):
+    phases = [0.1, 0.2, 0.3, 0.4, 0.5]
+    report = run_json(capsys, "ladder", "build", "--p", "2", "--phases", ",".join(map(str, phases)))
+    assert report["result"] == build_ladder(PrimitiveRoot(2), phases=phases).to_json()
+
+
+def test_generic_csv_and_table_list_abbreviation(capsys, monkeypatch):
+    code, out, _ = run(capsys, "ladder", "verify", "--p", "1", "--format", "csv")
+    assert code == 0 and out.startswith("key,value\n")
+    assert "commutator_residual," in out
+    monkeypatch.setenv("HALLREP_COLOR", "0")
+    code, out, _ = run(capsys, "ladder", "build", "--p", "3", "--format", "table")
+    assert code == 0
+    assert any(line.split() == ["coefficients", "[7", "items]"] for line in out.splitlines())

@@ -199,6 +199,37 @@ def test_solve_generic_rejects_nonunit_lambda():
         solve_generic_coefficients(primitive_root(1), 1.5)
 
 
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda root: solve_ladder_magnitudes(root, float("nan")),
+        lambda root: solve_ladder_magnitudes(root, float("inf")),
+        lambda root: build_ladder(root, base=float("nan")),
+        lambda root: build_ladder(root, phases=[0.0, float("nan"), 0.0, 0.0, 0.0]),
+        lambda root: solve_generic_coefficients(root, complex(float("nan"), 0.0)),
+        lambda root: solve_generic_coefficients(root, root.power(1), base=float("inf")),
+        lambda root: solve_generic_coefficients(root, root.power(1), phases=[float("inf")] + [0.0] * 4),
+    ],
+    ids=["ladder-base-nan", "ladder-base-inf", "build-base-nan", "build-phase-nan",
+         "generic-lambda-nan", "generic-base-inf", "generic-phase-inf"],
+)
+def test_non_finite_input_raises_value_error(solve):
+    # every comparison with nan is false, so only an explicit check refuses it
+    with pytest.raises(ValueError, match="finite"):
+        solve(primitive_root(2))
+
+
+def test_ladder_base_point_holds_base_exactly():
+    # the chain runs from |a_{2p+1}|^2, so no closing-sum rounding reaches it
+    for p in range(1, 26):
+        for k in (k for k in range(1, 2 * p + 2) if gcd(k, 2 * p + 1) == 1):
+            root = primitive_root(p, k)
+            default = solve_ladder_magnitudes(root)
+            assert default.magnitudes[-1] == default.base
+            base = default.infimum_base + 0.37
+            assert solve_ladder_magnitudes(root, base).magnitudes[-1] == base
+
+
 def test_solve_generic_base_below_infimum():
     root = primitive_root(2)
     lam = root.power(1)

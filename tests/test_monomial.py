@@ -1,9 +1,11 @@
-"""The monomial residual path against dense formulas written out in this file.
+"""The wrapped-diagonal residual path against dense formulas written out in this file.
 
-verify_relations, cyclicity_check and intertwiner take O(n) products when
-every input matrix has at most one nonzero in each row and each column.  The
-dense O(n^3) formulas below are the oracle: every residual agrees to 1e-12
-(relative above one) and every verdict matches.
+verify_relations and cyclicity_check take O(n) products when the nonzeros
+of every input matrix lie on one wrapped diagonal (row i at column
+(i + s) mod n); other monomial inputs, such as a representation written in a
+permuted basis, take the dense path.  The dense O(n^3) formulas below are
+the oracle: every residual agrees to 1e-12 (relative above one) and every
+verdict matches.
 """
 
 import dataclasses
@@ -206,3 +208,47 @@ def test_large_p_runs_without_dense_products(monkeypatch):
     report = cyclicity_check(rep)
     assert report.is_cyclic and max(report.raising_residual, report.lowering_residual) < 1e-9
     assert intertwiner(rep, 17).residual < 1e-10
+
+
+def random_wrapped_diagonal(rng, n, zeros=0):
+    diag = rng.normal(size=n) + 1j * rng.normal(size=n)
+    diag[rng.choice(n, zeros, replace=False)] = 0
+    i = np.arange(n)
+    mat = np.zeros((n, n), dtype=complex)
+    mat[i, (i + rng.integers(n)) % n] = diag
+    return mat
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 7), st.integers(0, 2**32 - 1), st.integers(0, 2))
+def test_random_wrapped_diagonals_match_dense(p, seed, zeros):
+    rng = np.random.default_rng(seed)
+    root = primitive_root(p)
+    n = root.order
+    k = random_wrapped_diagonal(rng, n)
+    ep, em = random_wrapped_diagonal(rng, n, zeros), random_wrapped_diagonal(rng, n, zeros)
+    assert_relations_match_dense(k, ep, em, root)
+    rep = dataclasses.replace(build_ladder(root), e_plus=ep, e_minus=em)
+    assert_cyclicity_matches_dense(rep)
+    assert_intertwiner_matches_dense(rep, int(rng.integers(n)))
+
+
+def test_permuted_basis_ladder_gives_the_dense_result_exactly():
+    # swapping two basis vectors keeps K diagonal but spreads E+- over two diagonals
+    root = primitive_root(3, 2)
+    rep = build_ladder(root)
+    perm = np.eye(rep.dim)[[1, 0, *range(2, rep.dim)]]
+    k, ep, em = (perm.T @ mat @ perm for mat in (rep.k_mat, rep.e_plus, rep.e_minus))
+    report = verify_relations(k, ep, em, root)
+    got = [
+        report.commutator_residual,
+        report.conjugation_residual_plus,
+        report.conjugation_residual_minus,
+        *report.unitarity_residuals,
+    ]
+    assert got == dense_relations(k, ep, em, root)
+    assert report.passed
+    permuted = dataclasses.replace(rep, k_mat=k, e_plus=ep, e_minus=em)
+    cyclicity = cyclicity_check(permuted)
+    assert cyclicity.raising_residual == dense_power_residual(ep, complex(np.prod(rep.raising)))
+    assert cyclicity.lowering_residual == dense_power_residual(em, complex(np.prod(rep.lowering)))
