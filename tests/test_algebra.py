@@ -127,8 +127,11 @@ def test_verify_relations_dimension_mismatch():
     root = primitive_root(1)
     with pytest.raises(ValueError, match="shape"):
         verify_relations(np.eye(3), np.zeros((4, 4)), np.zeros((3, 3)), root)
+
+
+def test_verify_relations_rejects_non_square_k():
     with pytest.raises(ValueError, match="K must be square"):
-        verify_relations(np.eye(3)[:2], np.zeros((3, 3)), np.zeros((3, 3)), root)
+        verify_relations(np.eye(3)[:2], np.zeros((3, 3)), np.zeros((3, 3)), primitive_root(1))
 
 
 def test_verify_relations_detects_the_other_conjugation_sign():

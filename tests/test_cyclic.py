@@ -222,7 +222,7 @@ def test_non_finite_input_raises_value_error(solve):
 def test_ladder_base_point_holds_base_exactly():
     # the chain runs from |a_{2p+1}|^2, so no closing-sum rounding reaches it
     for p in range(1, 26):
-        for k in (k for k in range(1, 2 * p + 2) if gcd(k, 2 * p + 1) == 1):
+        for k in (k for k in range(1, 2 * p + 1) if gcd(k, 2 * p + 1) == 1):
             root = primitive_root(p, k)
             default = solve_ladder_magnitudes(root)
             assert default.magnitudes[-1] == default.base
