@@ -7,13 +7,16 @@ output, one compact line per report; read it with `--format table` or
 `python -m json.tool`.  Exit code 0 means success, 1 a failed verification,
 an honest mathematical failure or a report that would hold inf/nan (nothing
 is written then), 2 a usage error.  The only environment variable consulted
-is HALLREP_COLOR (1/0), toggling color in table output.
+is HALLREP_COLOR (1/0), toggling color in table output.  A command runs
+with the cyclic garbage collector paused and restores the caller's setting
+after; library calls are unaffected.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import gc
 import json
 import math
 import os
@@ -133,7 +136,8 @@ def _emit(args, envelope: dict, csv_text: str | None, passed: bool | None) -> No
     fmt = getattr(args, "format", "json")
     if fmt == "json":
         try:
-            text = json.dumps(envelope, allow_nan=False) + "\n"
+            # an envelope is a fresh tree of dicts, lists and scalars: it holds no cycle
+            text = json.dumps(envelope, allow_nan=False, check_circular=False) + "\n"
         except ValueError as exc:  # allow_nan=False refuses inf and nan
             raise _NonFiniteReport from exc
     elif fmt == "csv":
@@ -469,6 +473,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # A rep file holds ~3n^2 [re, im] lists, none of them in a cycle; collector
+    # passes over them while they are built or decoded would only cost time,
+    # and refcounting frees them all.
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

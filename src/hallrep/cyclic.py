@@ -418,28 +418,32 @@ class CyclicityReport:
 def cyclicity_check(rep: CyclicRep) -> CyclicityReport:
     """Check that no state is annihilated and that E+-^(2p+1) are scalars.
 
-    An E+- on one wrapped diagonal, as in every built representation, is
-    raised to the power 2p+1 in O(n log n) by binary powering; any other
-    matrix takes the dense matrix_power.
+    An E+- on one wrapped diagonal, as in every built representation, has no
+    zero column exactly when every weight is nonzero, and is raised to the
+    power 2p+1 in O(n log n) by binary powering; any other matrix is scanned
+    column by column and takes the dense matrix_power.
     """
     n = rep.root.order
     scalar_plus = complex(np.prod(rep.raising))
     scalar_minus = complex(np.prod(rep.lowering))
 
-    def power_residual(mat: np.ndarray, scalar: complex) -> float:
+    def columns_and_residual(mat: np.ndarray, scalar: complex) -> tuple[bool, float]:
+        """(no column of mat is zero, scaled residual of mat^n - scalar)."""
         denom = max(1.0, abs(scalar) * math.sqrt(n))
         wrapped = _WrappedDiagonal.from_dense(mat)
         if wrapped is not None:
-            return _frobenius_sum([(1, wrapped.power(n)), (-scalar, _WrappedDiagonal.identity(n))], denom)
+            residual = _frobenius_sum([(1, wrapped.power(n)), (-scalar, _WrappedDiagonal.identity(n))], denom)
+            return bool(np.all(wrapped.diag != 0)), residual
         power = np.linalg.matrix_power(mat, n)
-        return frobenius((power - scalar * np.eye(n)) / denom)
+        return bool(np.all(np.any(mat != 0, axis=0))), frobenius((power - scalar * np.eye(n)) / denom)
 
-    no_zero_column = all(bool(np.all(np.any(mat != 0, axis=0))) for mat in (rep.e_plus, rep.e_minus))
+    plus_columns, raising_residual = columns_and_residual(rep.e_plus, scalar_plus)
+    minus_columns, lowering_residual = columns_and_residual(rep.e_minus, scalar_minus)
     return CyclicityReport(
-        is_cyclic=no_zero_column and scalar_plus != 0 and scalar_minus != 0,
+        is_cyclic=plus_columns and minus_columns and scalar_plus != 0 and scalar_minus != 0,
         epow_scalar=scalar_plus,
-        raising_residual=power_residual(rep.e_plus, scalar_plus),
-        lowering_residual=power_residual(rep.e_minus, scalar_minus),
+        raising_residual=raising_residual,
+        lowering_residual=lowering_residual,
     )
 
 

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import warnings
@@ -5,6 +6,7 @@ import warnings
 import pytest
 
 from hallrep.algebra import PrimitiveRoot
+from hallrep import cli
 from hallrep.cli import main
 from hallrep.cyclic import build_ladder, rep_from_json, solve_generic_coefficients
 
@@ -413,3 +415,50 @@ def test_generic_csv_and_table_list_abbreviation(capsys, monkeypatch):
     code, out, _ = run(capsys, "ladder", "build", "--p", "3", "--format", "table")
     assert code == 0
     assert any(line.split() == ["coefficients", "[7", "items]"] for line in out.splitlines())
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("ladder", "build", "--p", "2", "-o", "{dir}/rep.json"), 0),
+        (("ff", "decompose", "--nu", "100/201"), 1),
+        (("rep", "verify", "--in", "{dir}/malformed.json"), 2),
+        (("ladder", "build", "--no-such-flag"), 2),
+    ],
+    ids=["success", "failure", "handler-error", "argparse-error"],
+)
+def test_main_restores_the_collector_state(tmp_path, capsys, argv, expected, enabled):
+    (tmp_path / "malformed.json").write_text('{"kind": "ladder", "p": 1')
+    was_enabled = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        code, _, _ = run(capsys, *(arg.format(dir=tmp_path) for arg in argv))
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert code == expected
+
+
+def test_command_runs_with_the_collector_paused(capsys, monkeypatch):
+    seen = []
+
+    def recording_build_ladder(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return build_ladder(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_ladder", recording_build_ladder)
+    assert gc.isenabled()
+    run_json(capsys, "ladder", "build", "--p", "2")
+    assert seen == [False] and gc.isenabled()
+
+
+def test_report_files_match_the_default_encoder(tmp_path, capsys):
+    # the CLI skips the encoder's cycle check; the bytes must not change, signed zeros included
+    rep_file, verify_file = tmp_path / "rep.json", tmp_path / "verify.json"
+    assert run(capsys, "ladder", "build", "--p", "5", "--k", "2", "-o", str(rep_file))[0] == 0
+    assert run(capsys, "rep", "verify", "--in", str(rep_file), "-o", str(verify_file))[0] == 0
+    assert "-0.0" in rep_file.read_text()
+    for path in (rep_file, verify_file):
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), allow_nan=False) + "\n"
