@@ -5,8 +5,8 @@ import warnings
 
 import pytest
 
-from hallrep.algebra import PrimitiveRoot
 from hallrep import cli
+from hallrep.algebra import PrimitiveRoot
 from hallrep.cli import main
 from hallrep.cyclic import build_ladder, rep_from_json, solve_generic_coefficients
 
