@@ -366,6 +366,29 @@ def complex_to_pairs(values) -> list:
     return np.ascontiguousarray(values, dtype=complex).reshape(-1).view(float).reshape(-1, 2).tolist()
 
 
+# json's text of a zero entry's [re, im], indexed by 2 * signbit(re) + signbit(im)
+_ZERO_PAIR_TEXT = np.array(["[0.0, 0.0]", "[0.0, -0.0]", "[-0.0, 0.0]", "[-0.0, -0.0]"], dtype=object)
+
+
+def _pairs_text(values) -> str:
+    """The text of json.dumps(complex_to_pairs(values)), written without the pair lists.
+
+    Zero entries, all but O(n) of a cyclic representation's n^2, copy one of
+    four fixed strings chosen by the signs of their parts; only nonzero
+    entries go through float repr.  A non-finite entry raises ValueError, as
+    json.dumps(..., allow_nan=False) does.
+    """
+    flat = np.ascontiguousarray(values, dtype=complex).reshape(-1)
+    if not np.all(np.isfinite(flat)):
+        raise ValueError("Out of range float values are not JSON compliant")
+    pairs = flat.view(float).reshape(-1, 2)
+    signs = np.signbit(pairs)
+    parts = _ZERO_PAIR_TEXT[2 * signs[:, 0] + signs[:, 1]]
+    nonzero = np.flatnonzero(flat)
+    parts[nonzero] = [f"[{re!r}, {im!r}]" for re, im in pairs[nonzero].tolist()]
+    return "[" + ", ".join(parts.tolist()) + "]"
+
+
 def complex_from_pairs(pairs) -> np.ndarray:
     """The 1-d complex array of a [[re, im], ...] list; anything else raises ValueError."""
     arr = np.array(pairs)  # ragged nesting raises ValueError here

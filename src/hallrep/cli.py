@@ -5,11 +5,11 @@ verification (`rep`, `ladder`), filling-factor arithmetic (`ff`), and
 wavefunction inner products (`wf`).  Machine-readable JSON is the default
 output, one compact line per report; read it with `--format table` or
 `python -m json.tool`.  Exit code 0 means success, 1 a failed verification,
-an honest mathematical failure or a report that would hold inf/nan (nothing
-is written then), 2 a usage error.  The only environment variable consulted
-is HALLREP_COLOR (1/0), toggling color in table output.  A command runs
-with the cyclic garbage collector paused and restores the caller's setting
-after; library calls are unaffected.
+an honest mathematical failure, a failed internal cross-check or a report
+that would hold inf/nan (nothing is written then), 2 a usage error.  The
+only environment variable consulted is HALLREP_COLOR (1/0), toggling color
+in table output.  A command runs with the cyclic garbage collector paused
+and restores the caller's setting after; library calls are unaffected.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .algebra import PrimitiveRoot, complex_from_pairs, complex_to_pairs, verify_relations
+from .algebra import PrimitiveRoot, _pairs_text, complex_from_pairs, complex_to_pairs, verify_relations
 from .cyclic import (
     InfeasibleBaseError,
     build_ladder,
@@ -121,6 +121,8 @@ def _use_color() -> bool:
 
 
 def _flatten(value, prefix=""):
+    if isinstance(value, np.ndarray):
+        value = complex_to_pairs(value)
     rows = []
     if isinstance(value, dict):
         for key, sub in value.items():
@@ -132,13 +134,34 @@ def _flatten(value, prefix=""):
     return rows
 
 
+def _json_chunks(value):
+    """The text of json.dumps(value, allow_nan=False) in pieces; arrays are [re, im] pair lists.
+
+    Objects keep their insertion order and need string keys; an array goes
+    to _pairs_text.  Joining the pieces once copies a rep's megabytes of
+    pair text once.  A non-finite number raises ValueError.
+    """
+    if isinstance(value, dict):
+        yield "{"
+        for i, (key, sub) in enumerate(value.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be strings, got {key!r}")
+            yield f"{', ' if i else ''}{json.dumps(key)}: "
+            yield from _json_chunks(sub)
+        yield "}"
+    elif isinstance(value, np.ndarray):
+        yield _pairs_text(value)
+    else:
+        # a report is a fresh tree of dicts, lists and scalars: it holds no cycle
+        yield json.dumps(value, allow_nan=False, check_circular=False)
+
+
 def _emit(args, envelope: dict, csv_text: str | None, passed: bool | None) -> None:
     fmt = getattr(args, "format", "json")
     if fmt == "json":
         try:
-            # an envelope is a fresh tree of dicts, lists and scalars: it holds no cycle
-            text = json.dumps(envelope, allow_nan=False, check_circular=False) + "\n"
-        except ValueError as exc:  # allow_nan=False refuses inf and nan
+            text = "".join(_json_chunks(envelope)) + "\n"
+        except ValueError as exc:  # inf and nan are refused
             raise _NonFiniteReport from exc
     elif fmt == "csv":
         if csv_text is None:
@@ -187,7 +210,7 @@ def _cmd_rep_solve(args):
     root = _root_from_args(args)
     lam = cmath.exp(1j * args.lam_phase)
     rep = solve_generic_coefficients(root, lam, args.base, args.phases)
-    return rep.to_json(), None, None
+    return rep._json_tree(), None, None
 
 
 def _cmd_rep_build(args):
@@ -197,7 +220,7 @@ def _cmd_rep_build(args):
         float(np.linalg.norm(getattr(stored, name) - getattr(rebuilt, name)))
         for name in ("k_mat", "e_plus", "e_minus")
     )
-    result = rebuilt.to_json()
+    result = rebuilt._json_tree()
     result["max_deviation_from_stored"] = deviation
     return result, None, None
 
@@ -251,7 +274,7 @@ def _cmd_ladder_magnitudes(args):
 
 def _cmd_ladder_build(args):
     rep = build_ladder(_root_from_args(args), base=args.base, phases=args.phases)
-    return rep.to_json(), None, None
+    return rep._json_tree(), None, None
 
 
 def _cmd_ladder_verify(args):
@@ -473,9 +496,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # A rep file holds ~3n^2 [re, im] lists, none of them in a cycle; collector
-    # passes over them while they are built or decoded would only cost time,
-    # and refcounting frees them all.
+    # Reading a rep file decodes ~3n^2 [re, im] lists, none of them in a cycle;
+    # collector passes over them would only cost time, and refcounting frees
+    # them all.  Writing one builds no such lists.
     was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -497,7 +520,7 @@ def _run(argv) -> int:
     args.command_path = " ".join(part for part in (args.group, getattr(args, "action", None)) if part)
     try:
         result, passed, csv_text = args.handler(args)
-    except DecompositionError as exc:
+    except (DecompositionError, ArithmeticError) as exc:  # no expansion exists, or an internal cross-check failed
         print(f"failure: {exc}", file=sys.stderr)
         return 1
     except InfeasibleBaseError as exc:

@@ -32,7 +32,6 @@ from .algebra import (
     complex_to_pairs,
     frobenius,
     matrix_from_json,
-    matrix_to_json,
     q_number,
 )
 
@@ -85,13 +84,15 @@ def _closed_chain(root: PrimitiveRoot, increments) -> tuple[np.ndarray, float]:
     increments[t] is the rise from point t-1 to point t of the 2p+1 points
     on the cycle, so increments[0] closes it back to the base point 0.  Point
     t holds base + sums[t], with sums[0] = 0, so the base point holds the
-    base exactly.  The closing sum must vanish to rounding.  Also returns the
-    feasibility infimum, the smallest base keeping every point positive.
+    base exactly.  The closing sum must vanish to rounding, which grows with
+    the largest |sums[t]|; that never exceeds the largest point of a feasible
+    base.  Also returns the feasibility infimum, the smallest base keeping
+    every point positive.
     """
     increments = np.asarray(increments, dtype=float)
     sums = np.concatenate(([0.0], np.cumsum(increments[1:])))
     total = sums[-1] + increments[0]
-    if abs(total) > _CLOSURE_TOL * root.order:
+    if abs(total) > _CLOSURE_TOL * root.order * max(1.0, float(np.max(np.abs(sums)))):
         raise ArithmeticError(f"closure sum {total} did not vanish for p={root.p}, k={root.k}")
     return sums, max(0.0, -float(sums.min()))
 
@@ -165,7 +166,9 @@ def solve_ladder_magnitudes(
 
     base defaults to the feasibility infimum plus one.  The solution is
     re-checked against the equivalent three-block form of the recurrences so
-    a transcription slip in either form trips the other.
+    a transcription slip in either form trips the other; the check's bound
+    scales with max(1, max |a_i|^2), since each difference of two squared
+    magnitudes carries their rounding.
     """
     sums, infimum = _ladder_chain(root)
     base = _checked_base(base, infimum)
@@ -175,7 +178,7 @@ def solve_ladder_magnitudes(
         root=root, base=float(base), magnitudes=tuple(mags.tolist()), infimum_base=infimum
     )
     cross_check = three_block_residual(solution)
-    if cross_check > 1e-10:
+    if cross_check > 1e-10 * max(1.0, float(mags.max())):
         raise ArithmeticError(
             f"three-block recurrence residual {cross_check} after solving"
         )
@@ -262,16 +265,23 @@ class CyclicRep:
         return _assemble(self.root, self.kind, self.raising, self.lowering, self.lam)
 
     def to_json(self) -> dict:
+        return self._json_tree(complex_to_pairs)
+
+    def _json_tree(self, encode=np.asarray) -> dict:
+        """The JSON object of to_json, each coefficient vector and matrix passed through encode.
+
+        The default leaves them as arrays, which the CLI writes as [re, im]
+        pair text without building the pair lists.
+        """
         obj = {"kind": self.kind, "p": self.root.p, "k": self.root.k}
         if self.kind == "ladder":
-            obj["coefficients"] = complex_to_pairs(self.raising)
+            obj["coefficients"] = encode(self.raising)
         else:
             obj["lambda"] = complex_to_pairs(self.lam)[0]
-            obj["coefficients"] = {"g": complex_to_pairs(self.raising), "f": complex_to_pairs(self.lowering)}
+            obj["coefficients"] = {"g": encode(self.raising), "f": encode(self.lowering)}
         obj["matrices"] = {
-            "K": matrix_to_json(self.k_mat),
-            "Ep": matrix_to_json(self.e_plus),
-            "Em": matrix_to_json(self.e_minus),
+            name: {"dim": len(mat), "entries": encode(mat)}
+            for name, mat in (("K", self.k_mat), ("Ep", self.e_plus), ("Em", self.e_minus))
         }
         return obj
 
@@ -407,6 +417,7 @@ class CyclicityReport:
     E+^(2p+1) = c * 1.  The scalar grows exponentially with p, so the power
     residuals are reported relative to its Frobenius norm (floored at one),
     dividing before the norm is taken so the norm itself cannot overflow.
+    is_cyclic is false whenever the scalar or a residual is not finite.
     """
 
     is_cyclic: bool
@@ -439,8 +450,10 @@ def cyclicity_check(rep: CyclicRep) -> CyclicityReport:
 
     plus_columns, raising_residual = columns_and_residual(rep.e_plus, scalar_plus)
     minus_columns, lowering_residual = columns_and_residual(rep.e_minus, scalar_minus)
+    # an overflowed product is nan, and nan != 0: no verdict without finite numbers
+    finite = cmath.isfinite(scalar_plus) and math.isfinite(raising_residual) and math.isfinite(lowering_residual)
     return CyclicityReport(
-        is_cyclic=plus_columns and minus_columns and scalar_plus != 0 and scalar_minus != 0,
+        is_cyclic=finite and plus_columns and minus_columns and scalar_plus != 0 and scalar_minus != 0,
         epow_scalar=scalar_plus,
         raising_residual=raising_residual,
         lowering_residual=lowering_residual,

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 from math import gcd
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hallrep.algebra import (
+    _pairs_text,
     complex_from_pairs,
     complex_to_pairs,
     default_tolerance,
@@ -229,6 +231,41 @@ def test_complex_pairs_roundtrip_keeps_signed_zeros():
     assert np.array_equal(back.view(float), values.view(float))
     assert np.array_equal(np.signbit(back.view(float)), np.signbit(values.view(float)))
     assert np.signbit(complex_to_pairs(complex(-0.0, 1.0))[0][0])
+
+
+def pairs_text_cases():
+    rng = np.random.default_rng(17)
+    dense = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    tiny = 5e-324  # the smallest subnormal
+    return {
+        "signed-zeros": np.array([complex(0.0, 0.0), complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0)]),
+        "one-zero-part": np.array([complex(-0.0, 1.5), complex(2.5, -0.0), complex(0.0, -3.0)]),
+        "subnormals": np.array([complex(tiny, -tiny), complex(-2.2250738585072e-310, 0.0), complex(-0.0, 1e-320)]),
+        "near-max": np.array([complex(1.7976931348623157e308, -1.7976931348623157e308), complex(-1e308, 9.99e307)]),
+        "dense": dense,
+        "real": rng.normal(size=(3, 4)),
+        "transpose": dense.T,
+        "strided": dense[::2, 1::3],
+        "adjoint": build_ladder(primitive_root(4, 2), phases=rng.uniform(-7, 7, 9)).e_minus,
+        "scalar": np.complex128(-0.0 + 2j),
+        "empty": np.zeros((0, 0), dtype=complex),
+    }
+
+
+@pytest.mark.parametrize("name", list(pairs_text_cases()))
+def test_pairs_text_is_the_default_encoders_text(name):
+    values = pairs_text_cases()[name]
+    assert _pairs_text(values) == json.dumps(complex_to_pairs(values))
+
+
+@pytest.mark.parametrize("bad", [complex(float("nan"), 0.0), complex(0.0, float("inf")), complex(-float("inf"), 1.0)])
+def test_pairs_text_refuses_non_finite_entries(bad):
+    values = np.zeros((3, 3), dtype=complex)
+    values[1, 2] = bad
+    with pytest.raises(ValueError):
+        json.dumps(complex_to_pairs(values), allow_nan=False)
+    with pytest.raises(ValueError):
+        _pairs_text(values)
 
 
 @pytest.mark.parametrize(

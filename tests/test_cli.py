@@ -1,8 +1,10 @@
+import cmath
 import gc
 import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from hallrep import cli
@@ -454,11 +456,53 @@ def test_command_runs_with_the_collector_paused(capsys, monkeypatch):
 
 
 def test_report_files_match_the_default_encoder(tmp_path, capsys):
-    # the CLI skips the encoder's cycle check; the bytes must not change, signed zeros included
-    rep_file, verify_file = tmp_path / "rep.json", tmp_path / "verify.json"
-    assert run(capsys, "ladder", "build", "--p", "5", "--k", "2", "-o", str(rep_file))[0] == 0
-    assert run(capsys, "rep", "verify", "--in", str(rep_file), "-o", str(verify_file))[0] == 0
-    assert "-0.0" in rep_file.read_text()
-    for path in (rep_file, verify_file):
-        text = path.read_text()
+    # reports are written without the pair lists and with no cycle check; the
+    # bytes must equal the default encoder's, signed zeros included
+    root = PrimitiveRoot(198, 121)
+    phases = np.random.default_rng(198).uniform(-7, 7, root.order).tolist()
+    ladder = build_ladder(root, phases=phases).to_json()
+    generic = solve_generic_coefficients(PrimitiveRoot(30, 7), cmath.exp(0.4j)).to_json()
+    small, verify, big, rebuilt, solved = (tmp_path / f"{name}.json" for name in ("small", "verify", "big", "rebuilt", "solved"))
+    commands = [
+        (["ladder", "build", "--p", "5", "--k", "2", "-o", small], build_ladder(PrimitiveRoot(5, 2)).to_json()),
+        (["rep", "verify", "--in", small, "-o", verify], None),
+        (["ladder", "build", "--p", "198", "--k", "121", "--phases=" + ",".join(map(repr, phases)), "-o", big], ladder),
+        (["rep", "build", "--in", big, "-o", rebuilt], {**ladder, "max_deviation_from_stored": 0.0}),
+        (["rep", "solve", "--p", "30", "--k", "7", "--lam-phase", "0.4", "-o", solved], generic),
+    ]
+    for argv, want in commands:
+        code, out, err = run(capsys, *map(str, argv))
+        assert code == 0, err
+        text = argv[-1].read_text()
         assert text == json.dumps(json.loads(text), allow_nan=False) + "\n"
+        if want is not None:
+            assert json.dumps(json.loads(text)["result"]) == json.dumps(want)
+    assert "-0.0" in small.read_text()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_matrix_entry_is_not_written(tmp_path, capsys, bad):
+    rep_file, out_file = tmp_path / "rep.json", tmp_path / "rebuilt.json"
+    payload = build_ladder(PrimitiveRoot(2)).to_json()
+    payload["coefficients"][1] = [bad, 0.0]
+    rep_file.write_text(json.dumps(payload))  # NaN and Infinity, which json.load reads back
+    code, out, err = run(capsys, "rep", "build", "--in", str(rep_file), "-o", str(out_file))
+    assert code == 1 and not out_file.exists()
+    assert err.startswith("failure:") and "non-finite" in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ladder_verify_near_q_minus_one_at_p1000_passes(capsys):
+    # |a_i|^2 reaches 4e5 here; the magnitude cross-checks scale with it
+    report = run_json(capsys, "ladder", "verify", "--p", "1000", "--k", "1000")
+    assert report["result"]["pass"] is True
+
+
+def test_failed_internal_cross_check_exits_one(capsys, monkeypatch):
+    def failing(*args, **kwargs):
+        raise ArithmeticError("three-block recurrence residual 1.0 after solving")
+
+    monkeypatch.setattr(cli, "solve_ladder_magnitudes", failing)
+    code, out, err = run(capsys, "ladder", "magnitudes", "--p", "3")
+    assert code == 1 and out == ""
+    assert err.startswith("failure:") and "three-block" in err

@@ -296,6 +296,23 @@ def test_cyclicity_residual_finite_where_the_scalar_is_huge(p):
     assert report.lowering_residual < 1e-12
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cyclicity_gives_no_verdict_when_the_scalar_overflows():
+    # from p ~ 119 at k = 1 the coefficient product overflows to nan, and nan != 0
+    report = cyclicity_check(build_ladder(primitive_root(150, 1)))
+    assert not np.isfinite(report.epow_scalar)
+    assert report.is_cyclic is False
+
+
+@pytest.mark.parametrize("p, k", [(1000, 1000), (1000, 1001), (2700, 1), (10_000, 7)])
+def test_magnitude_cross_checks_scale_with_the_largest_magnitude(p, k):
+    # |a_i|^2 reaches 4e5 near q = -1 at p = 1000; an absolute 1e-10 bound failed there
+    solution = solve_ladder_magnitudes(primitive_root(p, k))
+    largest = max(solution.magnitudes)
+    assert largest > 1e5
+    assert three_block_residual(solution) <= 1e-14 * largest
+
+
 def test_one_type_for_both_forms():
     root = primitive_root(3, 2)
     ladder = build_ladder(root)

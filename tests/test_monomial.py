@@ -83,7 +83,10 @@ def assert_cyclicity_matches_dense(rep):
     ):
         assert close(got, dense_power_residual(mat, complex(scalar)))
     no_zero_column = all(np.all(np.any(mat != 0, axis=0)) for mat in (rep.e_plus, rep.e_minus))
-    assert report.is_cyclic == bool(no_zero_column and np.prod(rep.raising) != 0 and np.prod(rep.lowering) != 0)
+    finite = bool(np.isfinite([report.epow_scalar, report.raising_residual, report.lowering_residual]).all())
+    assert report.is_cyclic == bool(
+        finite and no_zero_column and np.prod(rep.raising) != 0 and np.prod(rep.lowering) != 0
+    )
     return report
 
 
