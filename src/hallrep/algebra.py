@@ -232,17 +232,18 @@ class RelationReport:
         }
 
     def failing(self) -> list[str]:
-        """Names of the residuals exceeding the tolerance."""
+        """Names of the residuals not within the tolerance, nan ones included, as in passed."""
+        tol = self.tolerance
         out = []
-        if self.commutator_residual > self.tolerance:
+        if not self.commutator_residual <= tol:
             out.append(f"commutator_residual={self.commutator_residual:.3e}")
-        if min(self.conjugation_residual_plus, self.conjugation_residual_minus) > self.tolerance:
+        if not (self.conjugation_residual_plus <= tol or self.conjugation_residual_minus <= tol):
             out.append(
                 f"conjugation_residual_minus={self.conjugation_residual_minus:.3e}"
             )
-        if self.unitarity_residuals[0] > self.tolerance:
+        if not self.unitarity_residuals[0] <= tol:
             out.append(f"k_unitarity_residual={self.unitarity_residuals[0]:.3e}")
-        if self.unitarity_residuals[1] > self.tolerance:
+        if not self.unitarity_residuals[1] <= tol:
             out.append(f"adjoint_residual={self.unitarity_residuals[1]:.3e}")
         return out
 
@@ -387,6 +388,39 @@ def _pairs_text(values) -> str:
     nonzero = np.flatnonzero(flat)
     parts[nonzero] = [f"[{re!r}, {im!r}]" for re, im in pairs[nonzero].tolist()]
     return "[" + ", ".join(parts.tolist()) + "]"
+
+
+def _pairs_from_text(span: str) -> np.ndarray:
+    """The (m, 2) float array of a [[re, im], ...] span, certified by re-encoding it.
+
+    The inverse of _pairs_text: the result is returned only when _pairs_text
+    of it equals span byte for byte, and any other span raises ValueError.
+    That text is json.dumps's, and float repr round-trips finite floats
+    with their signed zeros, so the values are the bits json.loads would
+    give.  The parse itself may be lenient because the check certifies it:
+    pairs are cut at the bracket bytes, only pairs holding a digit 1-9 (every
+    nonzero repr has one, no zero text does) go through float, and the zero
+    pairs take their signs from their '-' bytes.
+    """
+    raw = np.frombuffer(span.encode("ascii"), dtype=np.uint8)
+    opens = np.flatnonzero(raw == ord("["))[1:]
+    closes = np.flatnonzero(raw == ord("]"))[:-1]
+    if len(opens) != len(closes) or np.any(closes <= opens):
+        raise ValueError("expected a list of [re, im] pairs")
+    out = np.empty((len(opens), 2))
+    out[:, 0] = np.where(raw[opens + 1] == ord("-"), -0.0, 0.0)
+    out[:, 1] = np.where(raw[closes - 4] == ord("-"), -0.0, 0.0)  # "-0.0]"
+    digits = np.flatnonzero((raw >= ord("1")) & (raw <= ord("9")))
+    nonzero = np.unique(np.searchsorted(opens, digits, side="right") - 1)
+    nonzero = nonzero[nonzero >= 0]
+    parsed = []
+    for start, stop in zip((opens[nonzero] + 1).tolist(), closes[nonzero].tolist()):
+        re, im = span[start:stop].split(",")
+        parsed.append((float(re), float(im)))
+    out[nonzero] = np.array(parsed).reshape(-1, 2)
+    if _pairs_text(out.view(complex)) != span:
+        raise ValueError("not the canonical text of a list of [re, im] pairs")
+    return out
 
 
 def complex_from_pairs(pairs) -> np.ndarray:

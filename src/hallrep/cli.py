@@ -10,6 +10,10 @@ that would hold inf/nan (nothing is written then), 2 a usage error.  The
 only environment variable consulted is HALLREP_COLOR (1/0), toggling color
 in table output.  A command runs with the cyclic garbage collector paused
 and restores the caller's setting after; library calls are unaffected.
+`--in` reads a representation file the way json.load does: the [re, im]
+pair lists of the text the CLI writes are decoded straight to arrays and
+certified by re-encoding them to the same bytes, and any other file is
+decoded by json.loads, so values, errors and exit codes are the same.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import argparse
 import cmath
 import gc
 import json
+import json.scanner
 import math
 import os
 import sys
@@ -25,7 +30,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .algebra import PrimitiveRoot, _pairs_text, complex_from_pairs, complex_to_pairs, verify_relations
+from .algebra import PrimitiveRoot, _pairs_from_text, _pairs_text, complex_from_pairs, complex_to_pairs, verify_relations
 from .cyclic import (
     InfeasibleBaseError,
     build_ladder,
@@ -87,13 +92,61 @@ def _json_arg(text: str):
     return json.loads(text)
 
 
-def _load_json(path: str) -> dict:
+def _pair_slots(obj) -> list:
+    """What rep_from_json reads as pair lists in a decoded file: coefficients, g, f, matrix entries."""
+    if not isinstance(obj, dict):
+        return []
+    rep = obj if "kind" in obj else obj.get("result")
+    if not isinstance(rep, dict):
+        return []
+    coefficients = rep.get("coefficients")
+    slots = [coefficients]
+    if isinstance(coefficients, dict):
+        slots += [coefficients.get("g"), coefficients.get("f")]
+    matrices = rep.get("matrices")
+    if isinstance(matrices, dict):
+        slots += [mat.get("entries") for mat in map(matrices.get, ("K", "Ep", "Em")) if isinstance(mat, dict)]
+    return slots
+
+
+def _decode_rep_text(text: str):
+    """json.loads(text), with the canonical pair lists of a representation as (m, 2) arrays.
+
+    An array whose first element is an array is read, up to its first "]]",
+    by _pairs_from_text, which certifies it by re-encoding; every other
+    array is json's.  If a span is not canonical (pretty-printed, NaN,
+    integers, ragged, ...) or an array lands where rep_from_json does not
+    read pairs, the whole document is decoded again by json.loads, so the
+    values and errors of every other file are json's own.
+    """
+    arrays = []
+
+    def parse_array(s_and_end, scan_once):
+        s, end = s_and_end
+        if not s.startswith("[", json.decoder.WHITESPACE.match(s, end).end()):
+            return json.decoder.JSONArray(s_and_end, scan_once)
+        stop = s.find("]]", end)
+        if stop < 0:
+            raise ValueError("no end of a pair list")
+        arrays.append(_pairs_from_text(s[end - 1 : stop + 2]))
+        return arrays[-1], stop + 2
+
+    decoder = json.JSONDecoder()
+    decoder.parse_array = parse_array
+    decoder.scan_once = json.scanner.py_make_scanner(decoder)
+    try:
+        obj = decoder.decode(text)
+    except (ValueError, RecursionError):
+        return json.loads(text)
+    if sum(isinstance(slot, np.ndarray) for slot in _pair_slots(obj)) != len(arrays):
+        return json.loads(text)
+    return obj
+
+
+def _load_rep(path: str):
+    """The representation in a file holding a bare representation object or a CLI report envelope."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def _extract_rep(obj: dict):
-    """Accept either a bare representation object or a CLI report envelope."""
+        obj = _decode_rep_text(fh.read())
     if "kind" in obj:
         return rep_from_json(obj)
     if "result" in obj and isinstance(obj["result"], dict) and "kind" in obj["result"]:
@@ -214,12 +267,13 @@ def _cmd_rep_solve(args):
 
 
 def _cmd_rep_build(args):
-    stored = _extract_rep(_load_json(args.infile))
+    stored = _load_rep(args.infile)
     rebuilt = stored.rebuild()
-    deviation = max(
-        float(np.linalg.norm(getattr(stored, name) - getattr(rebuilt, name)))
+    # np.max keeps a nan deviation, which Python's max would drop; _emit then refuses the report
+    deviation = float(np.max([
+        np.linalg.norm(getattr(stored, name) - getattr(rebuilt, name))
         for name in ("k_mat", "e_plus", "e_minus")
-    )
+    ]))
     result = rebuilt._json_tree()
     result["max_deviation_from_stored"] = deviation
     return result, None, None
@@ -234,11 +288,11 @@ def _verify(rep, tol):
 
 
 def _cmd_rep_verify(args):
-    return _verify(_extract_rep(_load_json(args.infile)), args.tol)
+    return _verify(_load_rep(args.infile), args.tol)
 
 
 def _cmd_rep_intertwine(args):
-    res = intertwiner(_extract_rep(_load_json(args.infile)), args.s)
+    res = intertwiner(_load_rep(args.infile), args.s)
     result = {
         "sigma": list(res.sigma),
         "lambda": complex_to_pairs(res.lam)[0],
@@ -250,7 +304,7 @@ def _cmd_rep_intertwine(args):
 
 def _ladder_rep_from_args(args):
     if getattr(args, "infile", None):
-        rep = _extract_rep(_load_json(args.infile))
+        rep = _load_rep(args.infile)
         if rep.kind != "ladder":
             raise ValueError("expected a ladder-form representation file")
         return rep
@@ -496,9 +550,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # Reading a rep file decodes ~3n^2 [re, im] lists, none of them in a cycle;
-    # collector passes over them would only cost time, and refcounting frees
-    # them all.  Writing one builds no such lists.
+    # Reading a rep file that is not in the CLI's own text decodes ~3n^2
+    # [re, im] lists, none of them in a cycle; collector passes over them
+    # would only cost time, and refcounting frees them all.  Writing one, or
+    # reading the CLI's own text, builds no such lists.
     was_enabled = gc.isenabled()
     gc.disable()
     try:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hallrep.algebra import (
+    _pairs_from_text,
     _pairs_text,
     complex_from_pairs,
     complex_to_pairs,
@@ -256,6 +257,45 @@ def pairs_text_cases():
 def test_pairs_text_is_the_default_encoders_text(name):
     values = pairs_text_cases()[name]
     assert _pairs_text(values) == json.dumps(complex_to_pairs(values))
+
+
+@pytest.mark.parametrize("name", list(pairs_text_cases()))
+def test_pairs_from_text_inverts_pairs_text_bit_for_bit(name):
+    text = _pairs_text(pairs_text_cases()[name])
+    got = _pairs_from_text(text)
+    want = np.array(json.loads(text), dtype=float).reshape(-1, 2)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "span",
+    [
+        "[[1.5, -2.0],  [0.0, 0.0]]",
+        "[[1.5,  -2.0], [0.0, 0.0]]",
+        "[[1.5, -2.0] , [0.0, 0.0]]",
+        "[ [1.5, -2.0], [0.0, 0.0]]",
+        "[[1.5, -2.0], [0.0, 0.0]] ",
+        "[[0.0, 0.0 ]]",
+        "[[1, 2]]",
+        "[[0, -0]]",
+        "[[1.50, 2.0]]",
+        "[[1e400, 0.0]]",
+        "[[NaN, 0.0]]",
+        "[[0.0, -Infinity]]",
+        "[[1.0, 2.0, 3.0]]",
+        "[[1.0], [2.0, 3.0]]",
+        "[[[1.0, 2.0]]]",
+        '[["1.0", 2.0]]',
+        "[[0.0, 0.0]",
+        "[[0.0, 0.0]]]",
+        "[[0.0, \u00e9]]",
+        "",
+    ],
+)
+def test_pairs_from_text_refuses_any_other_text(span):
+    with pytest.raises(ValueError):
+        _pairs_from_text(span)
 
 
 @pytest.mark.parametrize("bad", [complex(float("nan"), 0.0), complex(0.0, float("inf")), complex(-float("inf"), 1.0)])

@@ -506,3 +506,147 @@ def test_failed_internal_cross_check_exits_one(capsys, monkeypatch):
     code, out, err = run(capsys, "ladder", "magnitudes", "--p", "3")
     assert code == 1 and out == ""
     assert err.startswith("failure:") and "three-block" in err
+
+
+def _rep_with_nan_in_stored_ep(tmp_path, entry):
+    rep_file = tmp_path / "rep.json"
+    payload = build_ladder(PrimitiveRoot(2)).to_json()
+    payload["matrices"]["Ep"]["entries"][entry] = [float("nan"), 0.0]
+    rep_file.write_text(json.dumps(payload))  # json.load reads the NaN back
+    return rep_file
+
+
+@pytest.mark.parametrize("entry", [2, 0], ids=["nonzero-entry", "zero-entry"])
+def test_rep_verify_names_every_nan_residual(tmp_path, capsys, entry):
+    rep_file = _rep_with_nan_in_stored_ep(tmp_path, entry)
+    code, out, err = run(capsys, "rep", "verify", "--in", str(rep_file))
+    assert code == 1
+    result = json.loads(out)["result"]
+    nan_names = {
+        name
+        for name, values in (
+            ("commutator_residual", [result["commutator_residual"]]),
+            ("conjugation_residual_minus", [result["conjugation_residual_plus"], result["conjugation_residual_minus"]]),
+            ("k_unitarity_residual", result["unitarity_residuals"][:1]),
+            ("adjoint_residual", result["unitarity_residuals"][1:]),
+        )
+        if all(value == "nan" for value in values)
+    }
+    assert "commutator_residual" in nan_names and "adjoint_residual" in nan_names
+    assert {failure.split("=")[0] for failure in result["failures"]} == nan_names
+    assert err.startswith("verification failed: ") and err.count("=nan") == len(nan_names)
+
+
+@pytest.mark.parametrize("entry", [2, 0], ids=["nonzero-entry", "zero-entry"])
+def test_rep_build_nan_deviation_is_not_written(tmp_path, capsys, entry):
+    rep_file, out_file = _rep_with_nan_in_stored_ep(tmp_path, entry), tmp_path / "rebuilt.json"
+    code, out, err = run(capsys, "rep", "build", "--in", str(rep_file), "-o", str(out_file))
+    assert code == 1 and out == "" and not out_file.exists()
+    assert err.startswith("failure:") and "non-finite" in err
+
+
+def _coprime_labels(order):
+    return [k for k in range(1, order) if math.gcd(k, order) == 1]
+
+
+def _assert_reads_like_json_load(path):
+    """_load_rep(path) holds the bits of rep_from_json(json.load(...)), read through certified arrays."""
+    text = path.read_text()
+    matrices = cli._decode_rep_text(text)["result"]["matrices"]
+    assert all(isinstance(matrices[name]["entries"], np.ndarray) for name in ("K", "Ep", "Em"))
+    got, want = cli._load_rep(str(path)), rep_from_json(json.loads(text)["result"])
+    assert (got.root, got.kind, got.unitary) == (want.root, want.kind, want.unitary)
+    assert np.array_equal(np.array([got.lam]).view(np.uint64), np.array([want.lam]).view(np.uint64))
+    for name in ("raising", "lowering", "k_mat", "e_plus", "e_minus"):
+        assert np.array_equal(getattr(got, name).view(np.uint64), getattr(want, name).view(np.uint64)), name
+
+
+def test_load_rep_matches_json_load_over_the_small_p_sweep(tmp_path, capsys):
+    path = tmp_path / "rep.json"
+    for p in range(1, 26):
+        for k in _coprime_labels(2 * p + 1):
+            assert main(["ladder", "build", "--p", str(p), "--k", str(k), "-o", str(path)]) == 0
+            _assert_reads_like_json_load(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ladder", "build", "--p", "30", "--k", "19"],
+        ["ladder", "build", "--p", "86", "--k", "40"],
+        ["ladder", "build", "--p", "142", "--k", "71"],
+        ["ladder", "build", "--p", "198", "--k", "121"],
+        ["ladder", "build", "--p", "86", "--k", "1", "--phases=random"],
+        ["ladder", "build", "--p", "198", "--k", "1", "--phases=random"],
+        ["rep", "solve", "--p", "30", "--k", "7", "--lam-phase", "0.4", "--phases=random"],
+    ],
+    ids=["p30-k19", "p86-k40", "p142-k71", "p198-k121", "p86-k1-phases", "p198-k1-phases", "generic-p30-k7"],
+)
+def test_load_rep_matches_json_load_at_large_p(tmp_path, capsys, argv):
+    if argv[-1] == "--phases=random":
+        n = 2 * int(argv[3]) + 1
+        phases = np.random.default_rng(n).uniform(-7, 7, n)
+        argv = argv[:-1] + ["--phases=" + ",".join(map(repr, phases.tolist()))]
+    path = tmp_path / "rep.json"
+    assert main(argv + ["-o", str(path)]) == 0
+    if argv[0] == "rep":  # generic: pair lists under g and f
+        obj = cli._decode_rep_text(path.read_text())["result"]["coefficients"]
+        assert isinstance(obj["g"], np.ndarray) and isinstance(obj["f"], np.ndarray)
+    _assert_reads_like_json_load(path)
+
+
+def _malformed_corpus():
+    """Representation files as text, each a way for a file to leave the canonical pair text."""
+    phases = np.random.default_rng(5).uniform(-7, 7, 5).tolist()
+    canonical = json.dumps({"result": build_ladder(PrimitiveRoot(2, 2), phases=phases).to_json()})
+    generic = json.dumps({"result": solve_generic_coefficients(PrimitiveRoot(2, 1), cmath.exp(0.3j)).to_json()})
+
+    def edited(edit):
+        obj = json.loads(canonical)
+        edit(obj["result"])
+        return json.dumps(obj)
+
+    def raw_entry(text):  # the first E+ entry replaced by raw JSON text
+        return edited(lambda rep: rep["matrices"]["Ep"]["entries"].__setitem__(0, "@")).replace('"@"', text)
+
+    return {
+        "canonical": canonical,
+        "generic": generic,
+        "bare-object": json.dumps(json.loads(canonical)["result"]),
+        "pretty-printed": json.dumps(json.loads(canonical), indent=2),
+        "nan-entry": raw_entry("[NaN, 0.0]"),
+        "overflowing-entry": raw_entry("[1e400, 0.0]"),
+        "integer-entry": raw_entry("[0, 0]"),
+        "ragged-entry": raw_entry("[0.0]"),
+        "string-entry": raw_entry('["0.0", 0.0]'),
+        "non-ascii-entry": raw_entry('["é", 0.0]'),
+        "deeper-nesting": raw_entry("[[0.0, 0.0]]"),
+        "space-before-bracket": raw_entry("[0.0, 0.0 ]"),
+        "pairs-in-a-key": edited(lambda rep: rep.update({"[[1.0, 2.0]]": 1})),
+        "pairs-as-p": edited(lambda rep: rep.update(p=[[2.0, 0.0]])),
+        "pairs-as-kind": edited(lambda rep: rep.update(kind=[[1.0, 0.0]])),
+        "pairs-as-a-matrix": edited(lambda rep: rep["matrices"].update(K=[[1.0, 0.0]])),
+        "empty-coefficients": edited(lambda rep: rep.update(coefficients=[])),
+        "truncated": canonical[: len(canonical) // 2],
+    }
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # the inf entry, on both reads
+@pytest.mark.parametrize("name", list(_malformed_corpus()))
+@pytest.mark.parametrize(
+    "command", [["rep", "verify"], ["ladder", "cyclicity"], ["rep", "build"]], ids=" ".join
+)
+def test_rep_files_read_as_json_loads_reads_them(tmp_path, capsys, monkeypatch, name, command):
+    rep_file, out_file = tmp_path / "rep.json", tmp_path / "out.json"
+    rep_file.write_text(_malformed_corpus()[name], encoding="utf-8")
+    argv = command + ["--in", str(rep_file), "-o", str(out_file)]
+
+    def outcome():
+        code, out, err = run(capsys, *argv)
+        written = out_file.read_bytes() if out_file.exists() else None
+        out_file.unlink(missing_ok=True)
+        return code, out, err, written
+
+    certified = outcome()
+    monkeypatch.setattr(cli, "_decode_rep_text", json.loads)
+    assert certified == outcome()
