@@ -279,7 +279,9 @@ def verify_relations(
 
     wrapped = [_WrappedDiagonal.from_dense(mat) for mat in (k_mat, e_plus, e_minus)]
     if any(mat is None for mat in wrapped):
-        residuals = _dense_residuals(k_mat, e_plus, e_minus, root)
+        # stored inf entries give inf or nan residuals, which the report names; numpy need not warn
+        with np.errstate(invalid="ignore", over="ignore"):
+            residuals = _dense_residuals(k_mat, e_plus, e_minus, root)
     else:
         residuals = _wrapped_residuals(*wrapped, root)
     commutator_residual, res_plus, res_minus, unitarity = residuals

@@ -147,6 +147,8 @@ def _load_rep(path: str):
     """The representation in a file holding a bare representation object or a CLI report envelope."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = _decode_rep_text(fh.read())
+    if not isinstance(obj, dict):
+        raise ValueError(f"file holds a JSON {type(obj).__name__}, not a representation object")
     if "kind" in obj:
         return rep_from_json(obj)
     if "result" in obj and isinstance(obj["result"], dict) and "kind" in obj["result"]:

@@ -445,7 +445,8 @@ def cyclicity_check(rep: CyclicRep) -> CyclicityReport:
         if wrapped is not None:
             residual = _frobenius_sum([(1, wrapped.power(n)), (-scalar, _WrappedDiagonal.identity(n))], denom)
             return bool(np.all(wrapped.diag != 0)), residual
-        power = np.linalg.matrix_power(mat, n)
+        with np.errstate(invalid="ignore", over="ignore"):  # a stored inf gives a nan residual, no warning
+            power = np.linalg.matrix_power(mat, n)
         return bool(np.all(np.any(mat != 0, axis=0))), frobenius((power - scalar * np.eye(n)) / denom)
 
     plus_columns, raising_residual = columns_and_residual(rep.e_plus, scalar_plus)
@@ -510,7 +511,8 @@ def rep_from_json(obj: dict) -> CyclicRep:
 
     Stored matrices are taken verbatim when present (so a corrupted file can
     be loaded and then fail verification); otherwise the matrices are
-    realized from the coefficients.
+    realized from the coefficients.  A non-finite coefficient or lambda
+    raises ValueError: nothing downstream reads the coefficients as a check.
     """
     root = PrimitiveRoot(_json_int(obj, "p"), _json_int(obj, "k"))
     kind = obj.get("kind", "ladder")
@@ -524,6 +526,9 @@ def rep_from_json(obj: dict) -> CyclicRep:
         raising, lowering = (complex_from_pairs(coefficients[key]) for key in ("g", "f"))
     else:
         raise ValueError(f"unknown representation kind {kind!r}")
+    for values in (raising, lowering, lam):
+        if values is not None and not np.all(np.isfinite(values)):
+            raise ValueError("coefficients and lambda must be finite")
     mats = obj.get("matrices")
     if mats is not None and not (isinstance(mats, dict) and all(key in mats for key in ("K", "Ep", "Em"))):
         raise ValueError("matrices must be an object holding K, Ep and Em")

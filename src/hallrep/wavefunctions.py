@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import sampling
-from .hierarchy import FillingFactor, PositiveCF, StandardCF, blok_wen_sequence, eval_standard_cf
+from .hierarchy import FillingFactor, StandardCF, eval_standard_cf
 
 __all__ = [
     "MAX_EXPANSION_DEGREE",
@@ -175,15 +175,14 @@ def _hermite_rule(order: int):
 
 
 def _auxiliary_decay_rate(a0: int) -> float:
-    """Gaussian decay rate |q_1| of the auxiliary coordinate.
+    """Gaussian decay rate |q_1| = 1/a0 of the auxiliary coordinate.
 
     First step of the auxiliary recursion with the electron exponent as
     leading positive-form coefficient: theta_1 = -1/a0, q_1 = 1/a0.  The
-    level-2 coefficient never enters at one level, so the positive-form
-    input is completed with a placeholder tail.
+    level-2 coefficient never enters at one level; blok_wen_sequence stays
+    the oracle in the tests.
     """
-    seq = blok_wen_sequence(PositiveCF((a0, 2)))
-    return float(abs(seq.qs[1]))
+    return 1 / a0
 
 
 def _auxiliary_integral(spec: HierarchyR1Spec, z: np.ndarray, quad_order: int) -> complex:
@@ -230,21 +229,35 @@ def hierarchy_r1_eval(spec: HierarchyR1Spec, config, quad_order: int = 32) -> co
     return complex(value)
 
 
-def _gaussian_stripped_values(spec: WavefunctionSpec, coords: np.ndarray) -> np.ndarray:
+def _gaussian_stripped_values(spec: WavefunctionSpec, coords: np.ndarray, shared: dict | None = None) -> np.ndarray:
     """Wavefunction values with the exp(-1/2 sum|z|^2) factor removed.
 
     The rotationally symmetric weight keeps only the constant term of
     prod_j (w - z_j), so the auxiliary integral is (pi/rate) prod_j (-z_j),
     conjugated when b = -1; hierarchy_r1_eval keeps quadrature as the oracle.
+
+    shared memoizes what depends on coords alone, the difference product per
+    exponent and prod_j (-z_j), so specs evaluated on one batch with one dict
+    compute each once, with the bits a fresh dict gives.  Cached arrays are
+    returned as is and must not be written to.
     """
-    if isinstance(spec, LaughlinSpec):
-        return _jastrow_batch(coords, spec.m)
-    if spec.n_quasi != 1:
+    if shared is None:
+        shared = {}
+    laughlin = isinstance(spec, LaughlinSpec)
+    if not laughlin and spec.n_quasi != 1:
         raise ValueError(f"only a single auxiliary coordinate is supported, got {spec.n_quasi}")
-    auxiliary = (math.pi / _auxiliary_decay_rate(spec.a0)) * np.prod(-coords, axis=1)
+    exponent = spec.m if laughlin else spec.a0
+    if exponent not in shared:
+        shared[exponent] = _jastrow_batch(coords, exponent)
+    jastrow = shared[exponent]
+    if laughlin:
+        return jastrow
+    if "prod" not in shared:
+        shared["prod"] = np.prod(-coords, axis=1)
+    auxiliary = (math.pi / _auxiliary_decay_rate(spec.a0)) * shared["prod"]
     if spec.b == -1:
         auxiliary = np.conj(auxiliary)
-    return _jastrow_batch(coords, spec.a0) * auxiliary
+    return jastrow * auxiliary
 
 
 # ----------------------------------------------------------------------
@@ -370,7 +383,8 @@ def _mc_estimates(specs, pairs, samples, seed, workers):
     def block_stats(block):
         _, start, count = block
         coords = sampling.gaussian_block(seed, n, start, count)
-        values = [_gaussian_stripped_values(spec, coords) for spec in specs]
+        shared = {}
+        values = [_gaussian_stripped_values(spec, coords, shared) for spec in specs]
         out = []
         for ia, ib in pairs:
             if ia == ib:

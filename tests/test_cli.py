@@ -487,8 +487,9 @@ def test_non_finite_matrix_entry_is_not_written(tmp_path, capsys, bad):
     payload["coefficients"][1] = [bad, 0.0]
     rep_file.write_text(json.dumps(payload))  # NaN and Infinity, which json.load reads back
     code, out, err = run(capsys, "rep", "build", "--in", str(rep_file), "-o", str(out_file))
-    assert code == 1 and not out_file.exists()
-    assert err.startswith("failure:") and "non-finite" in err
+    # refused as malformed input when read, before anything is rebuilt
+    assert code == 2 and not out_file.exists()
+    assert err.startswith("error:") and "finite" in err
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -542,6 +543,56 @@ def test_rep_build_nan_deviation_is_not_written(tmp_path, capsys, entry):
     rep_file, out_file = _rep_with_nan_in_stored_ep(tmp_path, entry), tmp_path / "rebuilt.json"
     code, out, err = run(capsys, "rep", "build", "--in", str(rep_file), "-o", str(out_file))
     assert code == 1 and out == "" and not out_file.exists()
+    assert err.startswith("failure:") and "non-finite" in err
+
+
+@pytest.mark.parametrize("text", ["null", "5", "[]", '"x"'])
+def test_rep_file_holding_no_object_is_usage_error(tmp_path, capsys, text):
+    rep_file = tmp_path / "rep.json"
+    rep_file.write_text(text)
+    code, out, err = run(capsys, "rep", "verify", "--in", str(rep_file))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def _nan_coefficient(payload):
+    payload["coefficients"][1] = [float("nan"), 0.0]
+
+
+def _nan_lambda(payload):
+    payload["lambda"] = [float("nan"), 0.0]
+
+
+@pytest.mark.parametrize("command", [["rep", "verify"], ["ladder", "cyclicity"]], ids=" ".join)
+@pytest.mark.parametrize(
+    "rep, corrupt",
+    [(build_ladder(PrimitiveRoot(2)), _nan_coefficient),
+     (solve_generic_coefficients(PrimitiveRoot(2), cmath.exp(0.3j)), _nan_lambda)],
+    ids=["ladder-coefficient", "generic-lambda"],
+)
+def test_non_finite_coefficient_is_usage_error(tmp_path, capsys, command, rep, corrupt):
+    payload = rep.to_json()
+    corrupt(payload)  # the stored matrices stay intact
+    rep_file = tmp_path / "rep.json"
+    rep_file.write_text(json.dumps(payload))  # json.load reads the NaN back
+    code, out, err = run(capsys, *command, "--in", str(rep_file))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "finite" in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_stored_entry_warns_nothing(tmp_path, capsys):
+    payload = build_ladder(PrimitiveRoot(2)).to_json()
+    entries = payload["matrices"]["Ep"]["entries"]
+    entries[entries.index([0.0, 0.0])] = "@"
+    rep_file = tmp_path / "rep.json"
+    rep_file.write_text(json.dumps(payload).replace('"@"', "[1e400, 0.0]"))  # read back as inf
+    code, out, err = run(capsys, "rep", "verify", "--in", str(rep_file))
+    assert code == 1
+    assert "commutator_residual=nan" in json.loads(out)["result"]["failures"]
+    assert err.startswith("verification failed: ") and "commutator_residual=nan" in err
+    code, out, err = run(capsys, "ladder", "cyclicity", "--in", str(rep_file))
+    assert code == 1 and out == ""
     assert err.startswith("failure:") and "non-finite" in err
 
 

@@ -21,10 +21,11 @@ from hallrep.wavefunctions import (
     laughlin_eval,
     spec_from_json,
     spec_to_json,
+    _auxiliary_decay_rate,
     _gaussian_stripped_values,
     _jastrow_batch,
 )
-from hallrep.hierarchy import FillingFactor
+from hallrep.hierarchy import FillingFactor, PositiveCF, blok_wen_sequence
 
 
 # ----------------------------------------------------------------------
@@ -314,6 +315,48 @@ def test_mc_closed_form_matches_quadrature(a0, n):
         fast = _gaussian_stripped_values(spec, coords) * gauss
         slow = np.array([hierarchy_r1_eval(spec, z, quad_order=32) for z in coords])
         assert np.all(np.abs(fast - slow) <= 1e-12 * scale)
+
+
+def test_auxiliary_decay_rate_is_the_first_recursion_step():
+    for a0 in range(1, 202, 2):
+        oracle = float(abs(blok_wen_sequence(PositiveCF((a0, 2))).qs[1]))
+        assert _auxiliary_decay_rate(a0) == oracle
+
+
+SHARED_FACTOR_FAMILIES = {
+    # a0 = 3 with both signs of b, as in the benchmark family
+    "hierarchy-n2": [HierarchyR1Spec(a0, a1, b, 2) for a0, a1, b in ((3, 2, 1), (3, -2, -1), (5, 2, 1))],
+    "hierarchy-n3": [HierarchyR1Spec(a0, a1, b, 3) for a0, a1, b in ((3, 2, 1), (3, -2, -1), (5, 2, 1))],
+    # Laughlin m and hierarchy a0 share an exponent
+    "mixed-n2": [LaughlinSpec(3, 2), HierarchyR1Spec(3, 2, 1, 2), HierarchyR1Spec(3, -2, -1, 2), LaughlinSpec(1, 2)],
+    "mixed-n3": [LaughlinSpec(3, 3), HierarchyR1Spec(3, -2, -1, 3), LaughlinSpec(5, 3), HierarchyR1Spec(5, 2, 1, 3)],
+}
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("samples", [100_000, 200_000])  # 200_000 ends in a 3,392-sample block
+@pytest.mark.parametrize("family", list(SHARED_FACTOR_FAMILIES))
+def test_gram_mc_shared_factors_bit_identical(monkeypatch, family, samples, workers):
+    """One memo per block gives the bits of evaluating every spec on its own."""
+    specs = SHARED_FACTOR_FAMILIES[family]
+    shared = gram_matrix(specs, "mc", samples=samples, seed=5, workers=workers)
+    monkeypatch.setattr(
+        wavefunctions, "_gaussian_stripped_values",
+        lambda spec, coords, memo: _gaussian_stripped_values(spec, coords, {}),
+    )
+    alone = gram_matrix(specs, "mc", samples=samples, seed=5, workers=workers)
+    assert np.array_equal(shared.value.view(np.uint64), alone.value.view(np.uint64))
+    assert np.array_equal(shared.stderr.view(np.uint64), alone.stderr.view(np.uint64))
+
+
+def test_gram_mc_evaluates_shared_factors_once_per_block(monkeypatch):
+    exponents, prods = [], []
+    jastrow, prod = wavefunctions._jastrow_batch, np.prod
+    monkeypatch.setattr(wavefunctions, "_jastrow_batch", lambda coords, m: exponents.append(m) or jastrow(coords, m))
+    monkeypatch.setattr(wavefunctions.np, "prod", lambda *a, **k: prods.append(1) or prod(*a, **k))
+    gram_matrix(SHARED_FACTOR_FAMILIES["mixed-n2"], "mc", samples=2 * sampling.BLOCK, seed=1)
+    assert sorted(exponents) == [1, 1, 3, 3]
+    assert len(prods) == 2
 
 
 def test_hierarchy_r1_scope_errors():
