@@ -23,7 +23,6 @@ from .cyclic import (
     LadderRep,
     MagnitudeSolution,
     build_ladder,
-    consolidated_residual,
     cyclicity_check,
     generic_from_coefficients,
     generic_infimum_base,

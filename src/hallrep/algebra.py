@@ -73,12 +73,28 @@ class PrimitiveRoot:
         r = (n * self.k) % self.order
         return cmath.exp(2j * math.pi * r / self.order)
 
-    def sin_multiple(self, n: int) -> float:
-        """sin(n * theta), reduced so that arguments n and order-n negate exactly."""
-        r = (n * self.k) % self.order
-        if 2 * r > self.order:
-            return -math.sin(2.0 * math.pi * (self.order - r) / self.order)
-        return math.sin(2.0 * math.pi * r / self.order)
+    def sin_multiple(self, n):
+        """sin(n * theta) on an exactly reduced argument, so n and order-n negate exactly.
+
+        An int n gives a float, an integer array an array.
+        """
+        out = _sin_pi(2 * self.k * n, self.order)
+        return out if isinstance(out, np.ndarray) else float(out)
+
+
+def _sin_pi(j, d: int):
+    """sin(pi * j / d) for an int or an integer array j, the one reduction of sine arguments.
+
+    j is reduced mod 2d in integer arithmetic and folded by sin(x + pi) =
+    -sin(x) and sin(pi - x) = sin(x), so sin only ever sees an argument in
+    [0, pi/2] and stays accurate relative to its value, however small.
+    sin(n theta) is j = 2nk over d = 2p+1; cos(n theta) = sin(pi/2 - n theta)
+    is j = 2p+1 - 4nk over d = 2(2p+1).
+    """
+    j = j % (2 * d)
+    sign = 1 - 2 * (j >= d)
+    j = j % d
+    return sign * np.sin(np.pi * np.minimum(j, d - j) / d)
 
 
 def primitive_root(p: int, k: int = 1) -> PrimitiveRoot:
@@ -86,11 +102,12 @@ def primitive_root(p: int, k: int = 1) -> PrimitiveRoot:
     return PrimitiveRoot(p, k)
 
 
-def q_number(n: int, root: PrimitiveRoot) -> float:
+def q_number(n, root: PrimitiveRoot):
     """The q-integer [n] = (q^n - q^-n)/(q - q^-1) = sin(n theta)/sin(theta).
 
-    Evaluated through exactly reduced sines; the literal complex quotient is
-    kept as an independent cross-check in :func:`q_number_by_division`.
+    Evaluated through exactly reduced sines, elementwise for an integer
+    array n; the literal complex quotient is kept as an independent
+    cross-check in :func:`q_number_by_division`.
     """
     return root.sin_multiple(n) / root.sin_multiple(1)
 

@@ -420,6 +420,8 @@ def _cmd_wf_inner(args):
 
 
 def _cmd_wf_gram(args):
+    if not isinstance(args.specs, list):
+        raise ValueError(f"--specs must be a JSON array of wavefunction specs, got {type(args.specs).__name__}")
     specs = [spec_from_json(obj) for obj in args.specs]
     gram = gram_matrix(
         specs,

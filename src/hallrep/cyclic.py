@@ -10,7 +10,13 @@ each on one wrapped diagonal:
 * generic weight-basis form: K v_m = lam q^(-2m) v_m over labels m = 0..2p,
   with one-step cyclic shifts E+ v_m = g_m v_{m+1}, E- v_m = f_m v_{m-1}.
 
-A permutation relabeling (the intertwiner) carries one into the other.
+Both magnitude chains are solved in closed form by one telescoped sum: with
+lam = e^(i phi), point m of the weight chain holds
+|g_m|^2 = |g_0|^2 - [m] sin(phi - (m+1) theta) / sin(theta), and the ladder
+chain is the case lam = 1, |a_{2t}|^2 = |a_{2p+1}|^2 + [t][t+1].  Every sine
+is taken on an exactly reduced multiple of theta, so the chain closes
+exactly; the ladder infimum is 1/(4 cos^2(theta/2)), reached at t = p.
+A permutation relabeling (the intertwiner) carries one form into the other.
 Arrays store ladder label i at slot i-1 and weight label m at slot m; all
 label arithmetic wraps modulo 2p+1.
 """
@@ -27,6 +33,7 @@ from .algebra import (
     PrimitiveRoot,
     _frobenius_sum,
     _json_int,
+    _sin_pi,
     _WrappedDiagonal,
     complex_from_pairs,
     complex_to_pairs,
@@ -44,7 +51,6 @@ __all__ = [
     "LadderRep",
     "MagnitudeSolution",
     "build_ladder",
-    "consolidated_residual",
     "cyclicity_check",
     "generic_from_coefficients",
     "generic_infimum_base",
@@ -57,7 +63,6 @@ __all__ = [
     "three_block_residual",
 ]
 
-_CLOSURE_TOL = 1e-12
 _BUILD_TOL = 1e-12
 
 
@@ -78,22 +83,23 @@ def _label(i: int, order: int) -> int:
     return (i - 1) % order + 1
 
 
-def _closed_chain(root: PrimitiveRoot, increments) -> tuple[np.ndarray, float]:
-    """Running sums around a closed chain of squared magnitudes.
+def _chain(root: PrimitiveRoot, lam: complex) -> tuple[np.ndarray, float]:
+    """Point m = 0..2p of the chain x_m - x_{m-1} = -Im(lam q^(-2m)) / sin(theta), less x_0.
 
-    increments[t] is the rise from point t-1 to point t of the 2p+1 points
-    on the cycle, so increments[0] closes it back to the base point 0.  Point
-    t holds base + sums[t], with sums[0] = 0, so the base point holds the
-    base exactly.  The closing sum must vanish to rounding, which grows with
-    the largest |sums[t]|; that never exceeds the largest point of a feasible
-    base.  Also returns the feasibility infimum, the smallest base keeping
-    every point positive.
+    For lam = e^(i phi) the sum telescopes to -[m] sin(phi - (m+1) theta) / sin(theta),
+    with sin(phi - (m+1) theta) = Im(lam q^-(m+1)); at lam = 1, the ladder
+    chain of increments [2m], point m holds [m][m+1] exactly.  Point 0 holds
+    zero and the chain closes by integer reduction, with no sum to round.
+    Also returns the feasibility infimum, the smallest base keeping every
+    point positive.
     """
-    increments = np.asarray(increments, dtype=float)
-    sums = np.concatenate(([0.0], np.cumsum(increments[1:])))
-    total = sums[-1] + increments[0]
-    if abs(total) > _CLOSURE_TOL * root.order * max(1.0, float(np.max(np.abs(sums)))):
-        raise ArithmeticError(f"closure sum {total} did not vanish for p={root.p}, k={root.k}")
+    lam = complex(lam)
+    if not cmath.isfinite(lam) or abs(abs(lam) - 1.0) > 1e-12:
+        raise ValueError(f"lambda must be a finite number of unit modulus, got {lam}")
+    m = np.arange(root.order)
+    cos_next = _sin_pi(root.order - 4 * root.k * (m + 1), 2 * root.order)  # cos((m+1) theta)
+    sin_shifted = lam.imag * cos_next - lam.real * root.sin_multiple(m + 1)
+    sums = -q_number(m, root) * (sin_shifted / root.sin_multiple(1))
     return sums, max(0.0, -float(sums.min()))
 
 
@@ -144,33 +150,25 @@ class MagnitudeSolution:
         return self.magnitudes[_label(i, self.root.order) - 1]
 
 
-def _ladder_chain(root: PrimitiveRoot) -> tuple[np.ndarray, float]:
-    """The chain |a_i|^2 - |a_{i-2}|^2 = [i] from the base point 2p+1.
-
-    Point t is label 2t (mod 2p+1); gcd(2, 2p+1) = 1, so the chain visits
-    every label once, and the full-cycle sum of q-integers vanishes.
-    """
-    n = root.order
-    return _closed_chain(root, [q_number(_label(2 * t, n), root) for t in range(n)])
-
-
 def ladder_infimum_base(root: PrimitiveRoot) -> float:
-    """Smallest |a_{2p+1}|^2 keeping all squared magnitudes positive."""
-    return _ladder_chain(root)[1]
+    """Smallest |a_{2p+1}|^2 keeping all squared magnitudes positive, 1/(4 cos^2(theta/2))."""
+    return _chain(root, 1.0)[1]
 
 
 def solve_ladder_magnitudes(
     root: PrimitiveRoot, base: float | None = None
 ) -> MagnitudeSolution:
-    """Propagate |a_i|^2 - |a_{i-2}|^2 = [i] around the step-2 cycle.
+    """Solve |a_i|^2 - |a_{i-2}|^2 = [i] around the step-2 cycle in closed form.
 
-    base defaults to the feasibility infimum plus one.  The solution is
-    re-checked against the equivalent three-block form of the recurrences so
-    a transcription slip in either form trips the other; the check's bound
-    scales with max(1, max |a_i|^2), since each difference of two squared
-    magnitudes carries their rounding.
+    Point t of the cycle is label 2t (mod 2p+1; gcd(2, 2p+1) = 1, so it
+    visits every label once) and holds base + [t][t+1].  base defaults to
+    the feasibility infimum plus one.  The solution is re-checked against
+    the equivalent three-block form of the recurrences so a transcription
+    slip in either form trips the other; the check's bound scales with
+    max(1, max |a_i|^2), since each difference of two squared magnitudes
+    carries their rounding.
     """
-    sums, infimum = _ladder_chain(root)
+    sums, infimum = _chain(root, 1.0)
     base = _checked_base(base, infimum)
     mags = np.empty(root.order)
     mags[(2 * np.arange(root.order) - 1) % root.order] = base + sums  # point t is label 2t, slot 2t-1
@@ -185,15 +183,6 @@ def solve_ladder_magnitudes(
     return solution
 
 
-def consolidated_residual(solution: MagnitudeSolution) -> float:
-    """Max deviation from |a_i|^2 - |a_{i-2}|^2 = [i] over all labels."""
-    root = solution.root
-    mag = solution.magnitude
-    return max(
-        abs(mag(i) - mag(i - 2) - q_number(i, root)) for i in range(1, root.order + 1)
-    )
-
-
 def three_block_residual(solution: MagnitudeSolution) -> float:
     """Max deviation from the three-block form of the magnitude recurrences.
 
@@ -203,14 +192,13 @@ def three_block_residual(solution: MagnitudeSolution) -> float:
     """
     root = solution.root
     p = root.p
-    mag = solution.magnitude
-    residuals = [
-        abs(mag(2 * p + 1) - mag(2 * p - 1)),
-        abs(mag(2 * p) - mag(2 * p - 2) + 1.0),
-    ]
-    for l in range(-1, 2 * p - 2):
-        residuals.append(abs(mag(l + 2) - mag(l) - q_number(l + 2, root)))
-    return max(residuals)
+    mags = np.asarray(solution.magnitudes)  # label i at slot i-1; slots -1, -2 wrap to labels 2p+1, 2p
+    i = np.arange(1, 2 * p)  # l + 2
+    residuals = np.concatenate((
+        [mags[2 * p] - mags[2 * p - 2], mags[2 * p - 1] - mags[2 * p - 3] + 1.0],
+        mags[i - 1] - mags[i - 3] - q_number(i, root),
+    ))
+    return float(np.max(np.abs(residuals)))
 
 
 # ----------------------------------------------------------------------
@@ -342,11 +330,7 @@ def ladder_from_coefficients(root: PrimitiveRoot, a) -> CyclicRep:
 
 
 def build_ladder(
-    root: PrimitiveRoot,
-    magnitudes: MagnitudeSolution | None = None,
-    *,
-    base: float | None = None,
-    phases=None,
+    root: PrimitiveRoot, *, base: float | None = None, phases=None
 ) -> CyclicRep:
     """Realize the ladder representation K = diag(q^i), E+ = sum a_i |i><i+2|.
 
@@ -358,23 +342,13 @@ def build_ladder(
     distinct eigenvalues) shifts phase i by t_i - t_(i+2) and so reaches
     every phase vector with the same sum.
     """
-    if magnitudes is None:
-        magnitudes = solve_ladder_magnitudes(root, base)
-    elif magnitudes.root != root:
-        raise ValueError("magnitude solution was computed for a different root")
-    a = np.sqrt(np.asarray(magnitudes.magnitudes)) * _phase_factors(phases, root.order)
+    a = np.sqrt(np.asarray(solve_ladder_magnitudes(root, base).magnitudes)) * _phase_factors(phases, root.order)
     return ladder_from_coefficients(root, a)
 
 
-def _weight_chain(root: PrimitiveRoot, lam: complex) -> tuple[np.ndarray, float]:
-    """The weight chain |g_m|^2 - |g_{m-1}|^2 = -Im(lam q^(-2m))/sin(theta) from m = 0."""
-    sin_theta = root.sin_multiple(1)
-    return _closed_chain(root, [-(lam * root.power(-2 * m)).imag / sin_theta for m in range(root.order)])
-
-
 def generic_infimum_base(root: PrimitiveRoot, lam: complex) -> float:
-    """Smallest |g_0|^2 keeping the whole unitary chain positive."""
-    return _weight_chain(root, lam)[1]
+    """Smallest |g_0|^2 keeping the whole unitary chain positive; lam must be finite of unit modulus."""
+    return _chain(root, lam)[1]
 
 
 def solve_generic_coefficients(
@@ -387,13 +361,10 @@ def solve_generic_coefficients(
 
     Unitarity pins f_{m+1} = conj(g_m) and turns the commutator relation into
     the real telescoping chain |g_{m-1}|^2 - |g_m|^2 = Im(lam q^(-2m)) /
-    sin(theta), whose full-cycle sum vanishes identically.  One base value
+    sin(theta), solved in closed form by its telescoped sum.  One base value
     |g_0|^2 stays free and defaults to the feasibility infimum plus one.
     """
-    lam = complex(lam)
-    if not cmath.isfinite(lam) or abs(abs(lam) - 1.0) > 1e-12:
-        raise ValueError(f"lambda must be a finite number of unit modulus, got {lam}")
-    sums, infimum = _weight_chain(root, lam)
+    sums, infimum = _chain(root, lam)
     base = _checked_base(base, infimum)
     g = np.sqrt(base + sums) * _phase_factors(phases, root.order)
     f = np.conj(np.roll(g, 1))  # f_{m+1} = conj(g_m)

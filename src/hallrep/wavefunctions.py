@@ -27,6 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import sampling
+from .algebra import _json_int
 from .hierarchy import FillingFactor, StandardCF, eval_standard_cf
 
 __all__ = [
@@ -122,16 +123,19 @@ def spec_to_json(spec: WavefunctionSpec) -> dict:
 
 
 def spec_from_json(obj: dict) -> WavefunctionSpec:
+    """The spec of a decoded JSON object; anything but an object or integer fields raises ValueError."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a wavefunction spec must be a JSON object, got {type(obj).__name__}")
     variant = obj.get("variant")
     if variant == "laughlin":
-        return LaughlinSpec(m=int(obj["m"]), n_electrons=int(obj["n_electrons"]))
+        return LaughlinSpec(m=_json_int(obj, "m"), n_electrons=_json_int(obj, "n_electrons"))
     if variant == "hierarchy_r1":
         return HierarchyR1Spec(
-            a0=int(obj["a0"]),
-            a1=int(obj["a1"]),
-            b=int(obj["b"]),
-            n_quasi=int(obj.get("n_quasi", 1)),
-            n_electrons=int(obj["n_electrons"]),
+            a0=_json_int(obj, "a0"),
+            a1=_json_int(obj, "a1"),
+            b=_json_int(obj, "b"),
+            n_quasi=_json_int(obj, "n_quasi") if "n_quasi" in obj else 1,
+            n_electrons=_json_int(obj, "n_electrons"),
         )
     raise ValueError(f"unknown wavefunction variant {variant!r}")
 

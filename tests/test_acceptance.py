@@ -16,7 +16,6 @@ import numpy as np
 from hallrep.algebra import primitive_root, q_number, verify_relations
 from hallrep.cyclic import (
     build_ladder,
-    consolidated_residual,
     cyclicity_check,
     intertwiner,
     solve_ladder_magnitudes,
@@ -38,6 +37,7 @@ from hallrep.wavefunctions import (
     HierarchyR1Spec,
     inner_product_exact,
 )
+from recurrence_oracles import consolidated_residual
 
 
 def report(number, description, ok, detail=""):

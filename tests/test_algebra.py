@@ -107,6 +107,17 @@ def test_q_number_exact_symmetries(root, n):
     assert q_number(order - n, root) == -q_number(n, root)
 
 
+@settings(max_examples=100, deadline=None)
+@given(roots)
+def test_q_number_of_an_array_matches_the_scalar_floats(root):
+    n = np.arange(-2 * root.order, 2 * root.order)
+    scalars = [q_number(int(i), root) for i in n]
+    assert all(type(value) is float for value in scalars)  # the CSV writer formats them with !r
+    np.testing.assert_allclose(q_number(n, root), scalars, rtol=1e-15, atol=0)
+    assert np.array_equal(q_number(-n, root), -q_number(n, root))
+    assert np.array_equal(q_number(root.order - n, root), -q_number(n, root))
+
+
 def test_verify_relations_identity_inputs():
     root = primitive_root(2)
     zero = np.zeros((5, 5))

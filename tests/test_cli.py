@@ -312,6 +312,34 @@ def test_wf_eval_malformed_config_is_usage_error(capsys):
     assert err.startswith("error:") and "[re, im]" in err
 
 
+LAUGHLIN_SPEC = json.dumps({"variant": "laughlin", "m": 1, "n_electrons": 2})
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["wf", "gram", "--specs", "[1]"], "must be a JSON object, got int"),
+        (["wf", "gram", "--specs", "{}"], "--specs must be a JSON array"),
+        (["wf", "gram", "--specs", LAUGHLIN_SPEC], "--specs must be a JSON array"),
+        (["wf", "inner", "--spec-a", "[]", "--spec-b", LAUGHLIN_SPEC], "must be a JSON object, got list"),
+        (["wf", "eval", "--spec", '"laughlin"', "--config", "[[0, 0], [1, 0]]"], "must be a JSON object, got str"),
+        (["wf", "gram", "--specs", '[{"variant": "laughlin", "m": 1.5, "n_electrons": 2}]'], "'m' must be an integer, got 1.5"),
+        (["wf", "gram", "--specs", '[{"variant": "laughlin", "m": true, "n_electrons": 2}]'], "'m' must be an integer, got True"),
+        (["wf", "inner", "--spec-a", LAUGHLIN_SPEC, "--spec-b", '{"variant": "laughlin", "m": 3}'],
+         "'n_electrons' must be an integer, got None"),
+        (["wf", "gram", "--specs",
+          '[{"variant": "hierarchy_r1", "a0": 3, "a1": 2, "b": 1, "n_quasi": 1.0, "n_electrons": 2}]'],
+         "'n_quasi' must be an integer, got 1.0"),
+    ],
+    ids=["gram-int-spec", "gram-object", "gram-bare-spec", "inner-list-spec", "eval-string-spec",
+         "float-m", "bool-m", "missing-n-electrons", "float-n-quasi"],
+)
+def test_malformed_spec_is_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and message in err and "Traceback" not in err
+
+
 HIERARCHY_SPECS = json.dumps([
     {"variant": "hierarchy_r1", "a0": 3, "a1": 2, "b": 1, "n_electrons": 2},
     {"variant": "hierarchy_r1", "a0": 3, "a1": -2, "b": -1, "n_electrons": 2},

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 from math import gcd
 
@@ -14,7 +15,6 @@ from hallrep.cyclic import (
     InfeasibleBaseError,
     LadderRep,
     build_ladder,
-    consolidated_residual,
     cyclicity_check,
     generic_infimum_base,
     intertwiner,
@@ -25,6 +25,7 @@ from hallrep.cyclic import (
     solve_ladder_magnitudes,
     three_block_residual,
 )
+from recurrence_oracles import consolidated_residual, ladder_chain_oracle, weight_chain_oracle
 
 
 def p1_magnitude_oracle(base: Fraction):
@@ -199,6 +200,13 @@ def test_solve_generic_rejects_nonunit_lambda():
         solve_generic_coefficients(primitive_root(1), 1.5)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), 5.0], ids=["nan", "inf", "five"])
+def test_generic_infimum_rejects_non_finite_or_non_unit_lambda(lam):
+    with pytest.raises(ValueError, match="finite number of unit modulus"):
+        generic_infimum_base(primitive_root(2), lam)
+
+
 @pytest.mark.parametrize(
     "solve",
     [
@@ -313,6 +321,56 @@ def test_magnitude_cross_checks_scale_with_the_largest_magnitude(p, k):
     assert three_block_residual(solution) <= 1e-14 * largest
 
 
+def ladder_infimum_formula(root) -> float:
+    """1/(4 cos^2(theta/2)): the ladder chain's lowest point, [p][p+1], in closed form.
+
+    cos(theta/2) = sin(pi (2p+1-2k) / (2(2p+1))) keeps its relative accuracy near q = -1.
+    """
+    return 1.0 / (4.0 * math.sin(math.pi * (root.order - 2 * root.k) / (2 * root.order)) ** 2)
+
+
+# p up to 10^3 with a random coprime k
+large_p_labels = st.integers(1, 1000).flatmap(
+    lambda p: st.tuples(
+        st.just(p), st.integers(1, 2 * p).filter(lambda k: gcd(k, 2 * p + 1) == 1)
+    )
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(large_p_labels)
+def test_closed_form_ladder_chain_matches_the_cumulative_sum(p_and_k):
+    p, drawn = p_and_k
+    for k in (1, p, p + 1, drawn):  # q nearest 1, nearest -1 (twice), then the draw
+        root = primitive_root(p, k)
+        solution = solve_ladder_magnitudes(root)
+        sums, infimum = ladder_chain_oracle(root)
+        mags = np.asarray(solution.magnitudes)
+        scale = max(1.0, float(mags.max()))
+        slots = (2 * np.arange(root.order) - 1) % root.order  # point t is label 2t
+        assert np.max(np.abs(mags[slots] - (solution.base + sums))) <= 1e-12 * scale
+        assert solution.infimum_base == pytest.approx(infimum, rel=0, abs=1e-12 * scale)
+        assert solution.infimum_base == pytest.approx(ladder_infimum_formula(root), rel=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(large_p_labels, st.floats(-math.pi, math.pi), st.integers(0, 2000))
+def test_closed_form_weight_chain_matches_the_cumulative_sum(p_and_k, phi, s):
+    root = primitive_root(*p_and_k)
+    for lam in (complex(math.cos(phi), math.sin(phi)), root.power(s)):  # random phase, then the q^s lattice
+        sums, infimum = weight_chain_oracle(root, lam)
+        base = infimum + 0.5
+        squared = np.abs(solve_generic_coefficients(root, lam, base).g) ** 2
+        scale = max(1.0, float(squared.max()))  # the cumulative sum's own rounding grows with it
+        assert np.max(np.abs(squared - (base + sums))) <= 1e-12 * scale
+        assert generic_infimum_base(root, lam) == pytest.approx(infimum, rel=0, abs=1e-12 * scale)
+
+
+def test_ladder_infimum_at_p_ten_thousand():
+    root = primitive_root(10_000, 1)
+    assert ladder_infimum_base(root) == pytest.approx(ladder_infimum_formula(root), rel=1e-12)
+
+
 def test_one_type_for_both_forms():
     root = primitive_root(3, 2)
     ladder = build_ladder(root)
@@ -414,9 +472,3 @@ def test_rep_json_rebuilds_without_matrices():
     del payload["matrices"]
     back = rep_from_json(payload)
     assert np.array_equal(back.e_plus, ladder.e_plus)
-
-
-def test_magnitude_solution_root_mismatch_rejected():
-    solution = solve_ladder_magnitudes(primitive_root(2))
-    with pytest.raises(ValueError, match="different root"):
-        build_ladder(primitive_root(2, 2), solution)
