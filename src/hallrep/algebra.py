@@ -386,27 +386,109 @@ def complex_to_pairs(values) -> list:
     return np.ascontiguousarray(values, dtype=complex).reshape(-1).view(float).reshape(-1, 2).tolist()
 
 
-# json's text of a zero entry's [re, im], indexed by 2 * signbit(re) + signbit(im)
-_ZERO_PAIR_TEXT = np.array(["[0.0, 0.0]", "[0.0, -0.0]", "[-0.0, 0.0]", "[-0.0, -0.0]"], dtype=object)
+# json's text of a zero entry's [re, im] and the separator after it, indexed by
+# 2 * signbit(re) + signbit(im); index 4 holds the place of a nonzero entry
+_ZERO_PAIR_TEXT = np.array(["[0.0, 0.0], ", "[0.0, -0.0], ", "[-0.0, 0.0], ", "[-0.0, -0.0], ", ""], dtype=object)
+# the text of a run of n < _SHORT_RUN entries with one of those texts, at [code * _SHORT_RUN + n]:
+# one string multiplication per run would cost a text of mixed signs twice a lookup's time
+_SHORT_RUN = 16
+_SHORT_RUN_TEXT = np.array([text * n for text in _ZERO_PAIR_TEXT for n in range(_SHORT_RUN)], dtype=object)
 
 
 def _pairs_text(values) -> str:
     """The text of json.dumps(complex_to_pairs(values)), written without the pair lists.
 
-    Zero entries, all but O(n) of a cyclic representation's n^2, copy one of
-    four fixed strings chosen by the signs of their parts; only nonzero
+    Zero entries, all but O(n) of a cyclic representation's n^2, come in runs
+    of one text (its signs).  A run is one piece of the join: a short one is
+    looked up, a long one is one string multiplication, so mixed signs cost
+    one lookup per run and a uniform run the copy of its bytes.  Only nonzero
     entries go through float repr.  A non-finite entry raises ValueError, as
     json.dumps(..., allow_nan=False) does.
     """
     flat = np.ascontiguousarray(values, dtype=complex).reshape(-1)
     if not np.all(np.isfinite(flat)):
         raise ValueError("Out of range float values are not JSON compliant")
+    if not flat.size:
+        return "[]"
     pairs = flat.view(float).reshape(-1, 2)
+    nonzero = flat != 0
     signs = np.signbit(pairs)
-    parts = _ZERO_PAIR_TEXT[2 * signs[:, 0] + signs[:, 1]]
-    nonzero = np.flatnonzero(flat)
-    parts[nonzero] = [f"[{re!r}, {im!r}]" for re, im in pairs[nonzero].tolist()]
-    return "[" + ", ".join(parts.tolist()) + "]"
+    codes = np.where(nonzero, 4, 2 * signs[:, 0] + signs[:, 1])
+    starts = np.flatnonzero(np.concatenate(([True], (codes[1:] != codes[:-1]) | nonzero[1:])))
+    codes, lengths = codes[starts], np.diff(starts, append=flat.size)
+    parts = _SHORT_RUN_TEXT[codes * _SHORT_RUN + np.minimum(lengths, _SHORT_RUN - 1)]
+    long = lengths >= _SHORT_RUN
+    parts[long] = _ZERO_PAIR_TEXT[codes[long]] * lengths[long]
+    parts[nonzero[starts]] = [f"[{re!r}, {im!r}], " for re, im in pairs[nonzero].tolist()]
+    parts = parts.tolist()
+    parts[-1] = parts[-1][:-2] + "]"  # the last entry's separator closes the list
+    return "[" + "".join(parts)
+
+
+class _PairText:
+    """The [[re, im], ...] lists of one text, each read as an (m, 2) float array.
+
+    The text's bytes are scanned once, for every list in it: its "]" bytes
+    cut the pairs, and its digits 1-9 (every nonzero repr has one, no zero
+    text does) mark the nonzero pairs.  A list is the pairs up to the first
+    "]" that follows a "]" or its own "[".  Zero pairs take their signs from
+    their '-' bytes; only nonzero pairs go through float.  That parse may be
+    lenient because a list is returned only when _pairs_text of it is the
+    text at its start byte for byte; json.dumps writes that text, and float
+    repr round-trips finite floats with their signed zeros, so the values
+    are the bits json.loads would give.
+    """
+
+    def __init__(self, text: str):
+        self.text = text
+        found = []
+        # 256 KiB at a time: temporaries the size of a whole file grow a
+        # long-running caller's heap; an empty text is one empty block
+        block = 1 << 18
+        for lo in range(0, max(len(text), 1), block):
+            back = min(lo, 10)  # a "]" is judged by the 10 bytes before it
+            # a non-ASCII character becomes one "?" byte, so byte offsets stay character offsets
+            raw = np.frombuffer(text[lo - back : lo + block].encode("ascii", "replace"), dtype=np.uint8)
+            closes = np.flatnonzero(raw[back:] == ord("]")) + back
+            before = raw.take(closes - 1, mode="clip")
+            # the signs of the zero pair each "]" would close, read back from it:
+            # "-0.0]" ends a negative im, and the re sign then sits 9 or 10 bytes back
+            im_negative = raw.take(closes - 4, mode="clip") == ord("-")
+            re_negative = raw.take(closes - 9 - im_negative, mode="clip") == ord("-")
+            digits = np.flatnonzero(raw[back:] - np.uint8(ord("1")) < 9)  # uint8 wraps the bytes below "1"
+            list_end = (before == ord("]")) | (before == ord("["))
+            found.append((closes + (lo - back), list_end, im_negative, re_negative, digits + lo))
+        self.closes, list_end, self.im_negative, self.re_negative, self.digits = map(np.concatenate, zip(*found))
+        self.list_ends = self.closes[list_end]
+
+    def read(self, start: int) -> tuple[np.ndarray, int]:
+        """The certified array of the list whose "[" is at start, and the offset just past it.
+
+        Any other text there raises ValueError.
+        """
+        at = np.searchsorted(self.list_ends, start, side="right")
+        if at == len(self.list_ends):
+            raise ValueError("no end of a pair list")
+        end = self.list_ends[at]
+        lo, hi = np.searchsorted(self.closes, [start, end])
+        pair_ends = self.closes[lo:hi]
+        out = np.empty((hi - lo, 2))
+        out[:, 0] = np.where(self.re_negative[lo:hi], -0.0, 0.0)
+        out[:, 1] = np.where(self.im_negative[lo:hi], -0.0, 0.0)
+        lo, hi = np.searchsorted(self.digits, [start, end])
+        nonzero = np.unique(np.searchsorted(pair_ends, self.digits[lo:hi]))
+        nonzero = nonzero[nonzero < len(pair_ends)]
+        # a pair's numbers start after the "[[" opening the list or the "], [" before them
+        firsts = np.where(nonzero > 0, pair_ends[nonzero - 1] + 4, start + 2)
+        parsed = []
+        for first, stop in zip(firsts.tolist(), pair_ends[nonzero].tolist()):
+            re, im = self.text[first:stop].split(",")
+            parsed.append((float(re), float(im)))
+        out[nonzero] = np.array(parsed).reshape(-1, 2)
+        certificate = _pairs_text(out.view(complex))
+        if not self.text.startswith(certificate, start):
+            raise ValueError("not the canonical text of a list of [re, im] pairs")
+        return out, start + len(certificate)
 
 
 def _pairs_from_text(span: str) -> np.ndarray:
@@ -414,31 +496,11 @@ def _pairs_from_text(span: str) -> np.ndarray:
 
     The inverse of _pairs_text: the result is returned only when _pairs_text
     of it equals span byte for byte, and any other span raises ValueError.
-    That text is json.dumps's, and float repr round-trips finite floats
-    with their signed zeros, so the values are the bits json.loads would
-    give.  The parse itself may be lenient because the check certifies it:
-    pairs are cut at the bracket bytes, only pairs holding a digit 1-9 (every
-    nonzero repr has one, no zero text does) go through float, and the zero
-    pairs take their signs from their '-' bytes.
+    See _PairText for how the span is read.
     """
-    raw = np.frombuffer(span.encode("ascii"), dtype=np.uint8)
-    opens = np.flatnonzero(raw == ord("["))[1:]
-    closes = np.flatnonzero(raw == ord("]"))[:-1]
-    if len(opens) != len(closes) or np.any(closes <= opens):
-        raise ValueError("expected a list of [re, im] pairs")
-    out = np.empty((len(opens), 2))
-    out[:, 0] = np.where(raw[opens + 1] == ord("-"), -0.0, 0.0)
-    out[:, 1] = np.where(raw[closes - 4] == ord("-"), -0.0, 0.0)  # "-0.0]"
-    digits = np.flatnonzero((raw >= ord("1")) & (raw <= ord("9")))
-    nonzero = np.unique(np.searchsorted(opens, digits, side="right") - 1)
-    nonzero = nonzero[nonzero >= 0]
-    parsed = []
-    for start, stop in zip((opens[nonzero] + 1).tolist(), closes[nonzero].tolist()):
-        re, im = span[start:stop].split(",")
-        parsed.append((float(re), float(im)))
-    out[nonzero] = np.array(parsed).reshape(-1, 2)
-    if _pairs_text(out.view(complex)) != span:
-        raise ValueError("not the canonical text of a list of [re, im] pairs")
+    out, end = _PairText(span).read(0)
+    if end != len(span):
+        raise ValueError("text follows the list of [re, im] pairs")
     return out
 
 

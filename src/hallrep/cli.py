@@ -10,16 +10,18 @@ that would hold inf/nan (nothing is written then), 2 a usage error.  The
 only environment variable consulted is HALLREP_COLOR (1/0), toggling color
 in table output.  A command runs with the cyclic garbage collector paused
 and restores the caller's setting after; library calls are unaffected.
-`--in` reads a representation file the way json.load does: the [re, im]
-pair lists of the text the CLI writes are decoded straight to arrays and
-certified by re-encoding them to the same bytes, and any other file is
-decoded by json.loads, so values, errors and exit codes are the same.
+`--in` reads a representation file the way json.load does: one scan of its
+bytes finds the [re, im] pair lists of the text the CLI writes, which are
+decoded straight to arrays and certified by re-encoding them to the same
+bytes, and any other file is decoded by json.loads, so values, errors and
+exit codes are the same.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import gc
 import json
 import json.scanner
@@ -30,7 +32,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .algebra import PrimitiveRoot, _pairs_from_text, _pairs_text, complex_from_pairs, complex_to_pairs, verify_relations
+from .algebra import PrimitiveRoot, _PairText, _pairs_text, complex_from_pairs, complex_to_pairs, verify_relations
 from .cyclic import (
     InfeasibleBaseError,
     build_ladder,
@@ -112,24 +114,23 @@ def _pair_slots(obj) -> list:
 def _decode_rep_text(text: str):
     """json.loads(text), with the canonical pair lists of a representation as (m, 2) arrays.
 
-    An array whose first element is an array is read, up to its first "]]",
-    by _pairs_from_text, which certifies it by re-encoding; every other
-    array is json's.  If a span is not canonical (pretty-printed, NaN,
-    integers, ragged, ...) or an array lands where rep_from_json does not
-    read pairs, the whole document is decoded again by json.loads, so the
-    values and errors of every other file are json's own.
+    An array whose first element is an array is read by _PairText, which
+    certifies it by re-encoding and says where it ends; every other array is
+    json's.  If a list is not canonical (pretty-printed, NaN, integers,
+    ragged, ...) or an array lands where rep_from_json does not read pairs,
+    the whole document is decoded again by json.loads, so the values and
+    errors of every other file are json's own.
     """
-    arrays = []
+    lists = _PairText(text)
+    certified = 0
 
     def parse_array(s_and_end, scan_once):
+        nonlocal certified
         s, end = s_and_end
         if not s.startswith("[", json.decoder.WHITESPACE.match(s, end).end()):
             return json.decoder.JSONArray(s_and_end, scan_once)
-        stop = s.find("]]", end)
-        if stop < 0:
-            raise ValueError("no end of a pair list")
-        arrays.append(_pairs_from_text(s[end - 1 : stop + 2]))
-        return arrays[-1], stop + 2
+        certified += 1
+        return lists.read(end - 1)
 
     decoder = json.JSONDecoder()
     decoder.parse_array = parse_array
@@ -138,7 +139,11 @@ def _decode_rep_text(text: str):
         obj = decoder.decode(text)
     except (ValueError, RecursionError):
         return json.loads(text)
-    if sum(isinstance(slot, np.ndarray) for slot in _pair_slots(obj)) != len(arrays):
+    finally:
+        # the scanner refers to itself, so the text's scan would stay in
+        # that reference cycle until a collector pass; release it now
+        del lists
+    if sum(isinstance(slot, np.ndarray) for slot in _pair_slots(obj)) != certified:
         return json.loads(text)
     return obj
 
@@ -553,6 +558,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built by the first command; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     # Reading a rep file that is not in the CLI's own text decodes ~3n^2
     # [re, im] lists, none of them in a cycle; collector passes over them
@@ -568,7 +579,7 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed its message

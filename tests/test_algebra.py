@@ -261,7 +261,18 @@ def pairs_text_cases():
         "adjoint": build_ladder(primitive_root(4, 2), phases=rng.uniform(-7, 7, 9)).e_minus,
         "scalar": np.complex128(-0.0 + 2j),
         "empty": np.zeros((0, 0), dtype=complex),
+        "long-mixed-signs": long_mixed_signs(rng),
     }
+
+
+def long_mixed_signs(rng):
+    """~1 MB of text: zero entries of random signs in runs of 1 to 40, with a nonzero entry in ~1 of 50."""
+    runs = rng.integers(1, 41, 3000)
+    codes = np.repeat(rng.integers(0, 4, len(runs)), runs)
+    pairs = np.stack([np.where(codes >= 2, -0.0, 0.0), np.where(codes % 2, -0.0, 0.0)], axis=1)
+    nonzero = rng.random(len(codes)) < 0.02
+    pairs[nonzero] = rng.normal(size=(nonzero.sum(), 2))
+    return pairs.view(complex)
 
 
 @pytest.mark.parametrize("name", list(pairs_text_cases()))
@@ -307,6 +318,91 @@ def test_pairs_from_text_inverts_pairs_text_bit_for_bit(name):
 def test_pairs_from_text_refuses_any_other_text(span):
     with pytest.raises(ValueError):
         _pairs_from_text(span)
+
+
+_ZERO_PARTS = ((0.0, 0.0), (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0))
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1.7976931348623157e308, -1e308)
+
+
+@st.composite
+def zero_runs(draw):
+    """Zero entries whose signs are uniform, in blocks or alternating."""
+    length = draw(st.integers(0, 40))
+    block = draw(st.sampled_from([1, 2, 3, 5, length + 1]))  # alternating, blocks, uniform
+    first = draw(st.integers(0, 3))
+    return [_ZERO_PARTS[(first + i // block) % 4] for i in range(length)]
+
+
+nonzero_entries = st.lists(
+    st.tuples(*[st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(_EDGE_FLOATS))] * 2)
+    .filter(lambda pair: pair != (0.0, 0.0)),  # -0.0 == 0.0: both parts zero is a zero run's entry
+    max_size=3,
+)
+pair_arrays = st.lists(st.one_of(zero_runs(), nonzero_entries), max_size=6).map(
+    lambda segments: np.array([pair for segment in segments for pair in segment], dtype=float).reshape(-1, 2)
+)
+
+
+def canonical_pairs(text):
+    """json's (m, 2) array of text when text is json.dumps's text of a list of finite float pairs, else None."""
+    try:
+        obj = json.loads(text)
+    except ValueError:
+        return None
+    if not isinstance(obj, list) or json.dumps(obj) != text:
+        return None
+    if not all(isinstance(pair, list) and len(pair) == 2 for pair in obj):
+        return None
+    if not all(type(x) is float and math.isfinite(x) for pair in obj for x in pair):
+        return None
+    return np.array(obj, dtype=float).reshape(-1, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair_arrays)
+def test_pair_codec_matches_json_over_zero_runs_and_edge_values(pairs):
+    values = pairs.view(complex)
+    text = _pairs_text(values)
+    assert text == json.dumps(complex_to_pairs(values))
+    got = _pairs_from_text(text)
+    assert got.shape == pairs.shape
+    assert np.array_equal(got.view(np.uint64), canonical_pairs(text).view(np.uint64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair_arrays, st.data())
+def test_pair_codec_reads_an_edited_text_as_json_does(pairs, data):
+    # an edit that leaves canonical text (a dropped "-" of a zero, a dropped
+    # pair) must read as json.loads reads it; any other must raise ValueError
+    text = _pairs_text(pairs.view(complex))
+    at = {  # where each edit applies
+        "dropped-minus": [i for i in range(len(text)) if text[i] == "-"],
+        "zero-padded": [i for i in range(1, len(text) - 3) if text[i - 1] in "[- " and text[i : i + 4] in ("0.0,", "0.0]")],
+        "extra-space": range(len(text) + 1),
+        "missing-pair": range(len(pairs)),
+        "dropped-byte": range(len(text)),
+        "replaced-byte": range(len(text)),
+    }
+    kind = data.draw(st.sampled_from([kind for kind, places in at.items() if places]))
+    i = data.draw(st.sampled_from(at[kind]))
+    if kind in ("dropped-minus", "dropped-byte"):
+        edited = text[:i] + text[i + 1 :]
+    elif kind == "zero-padded":
+        edited = text[:i] + "0.00" + text[i + 3 :]
+    elif kind == "extra-space":
+        edited = text[:i] + " " + text[i:]
+    elif kind == "missing-pair":
+        edited = json.dumps(json.loads(text)[:i] + json.loads(text)[i + 1 :])
+    else:
+        edited = text[:i] + data.draw(st.sampled_from("[]-.,0 1e")) + text[i + 1 :]
+    want = canonical_pairs(edited)
+    if kind in ("zero-padded", "extra-space"):
+        assert want is None
+    if want is None:
+        with pytest.raises(ValueError):
+            _pairs_from_text(edited)
+    else:
+        assert np.array_equal(_pairs_from_text(edited).view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("bad", [complex(float("nan"), 0.0), complex(0.0, float("inf")), complex(-float("inf"), 1.0)])

@@ -2,7 +2,12 @@ import cmath
 import gc
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +16,8 @@ from hallrep import cli
 from hallrep.algebra import PrimitiveRoot
 from hallrep.cli import main
 from hallrep.cyclic import build_ladder, rep_from_json, solve_generic_coefficients
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(capsys, *argv):
@@ -481,6 +488,43 @@ def test_command_runs_with_the_collector_paused(capsys, monkeypatch):
     assert gc.isenabled()
     run_json(capsys, "ladder", "build", "--p", "2")
     assert seen == [False] and gc.isenabled()
+
+
+def test_a_read_leaves_no_decoded_array_behind(tmp_path, capsys):
+    # with the collector paused, what a command keeps in a reference cycle stays allocated
+    rep_file = tmp_path / "rep.json"
+    assert main(["ladder", "build", "--p", "60", "--k", "7", "-o", str(rep_file)]) == 0
+    argv = ["rep", "verify", "--in", str(rep_file), "-o", str(tmp_path / "verify.json")]
+    assert main(argv) == 0  # the parser and every first-call cache are built
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert main(argv) == 0
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        if was_enabled:
+            gc.enable()
+    assert kept < 121 * 121 * 16 / 4  # a quarter of one decoded 121 x 121 matrix
+
+
+def test_commands_in_one_process_write_what_a_fresh_process_writes(capsys):
+    argv = ["ladder", "build", "--p", "3", "--k", "2"]
+    fresh = subprocess.run(
+        [sys.executable, "-m", "hallrep.cli", *argv],
+        capture_output=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))},
+    )
+    assert fresh.returncode == 0
+    assert run(capsys, "ladder", "verify", "--p", "1", "--bogus")[0] == 2
+    assert run(capsys, "ladder", "verify", "--p", "2", "--format", "table")[0] == 0
+    code, out, _ = run(capsys, "--version")
+    assert code == 0 and out.startswith("hallrep ")
+    code, out, _ = run(capsys, *argv)
+    assert (code, out.encode()) == (fresh.returncode, fresh.stdout)
 
 
 def test_report_files_match_the_default_encoder(tmp_path, capsys):
