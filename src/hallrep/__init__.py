@@ -11,7 +11,6 @@ from .algebra import (
     matrix_to_json,
     primitive_root,
     q_number,
-    q_number_by_division,
     verify_relations,
 )
 from .cyclic import (

@@ -27,7 +27,6 @@ __all__ = [
     "matrix_to_json",
     "primitive_root",
     "q_number",
-    "q_number_by_division",
     "verify_relations",
 ]
 
@@ -106,25 +105,10 @@ def q_number(n, root: PrimitiveRoot):
     """The q-integer [n] = (q^n - q^-n)/(q - q^-1) = sin(n theta)/sin(theta).
 
     Evaluated through exactly reduced sines, elementwise for an integer
-    array n; the literal complex quotient is kept as an independent
-    cross-check in :func:`q_number_by_division`.
+    array n; the tests keep the literal complex quotient as an independent
+    cross-check.
     """
     return root.sin_multiple(n) / root.sin_multiple(1)
-
-
-def q_number_by_division(n: int, root: PrimitiveRoot) -> float:
-    """[n] evaluated literally as (q^n - q^-n)/(q - q^-1).
-
-    The quotient must come out real; an imaginary part beyond rounding noise
-    raises, otherwise it is discarded.
-    """
-    q = root.value
-    val = (q**n - q**-n) / (q - 1.0 / q)
-    # complex pow noise grows with |n| through the polar route
-    scale = max(1.0, abs(val)) * max(root.order, abs(n), 1)
-    if abs(val.imag) > 1e-14 * scale:
-        raise ArithmeticError(f"[{n}] evaluated to the non-real value {val!r}")
-    return val.real
 
 
 def frobenius(mat) -> float:

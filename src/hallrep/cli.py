@@ -47,6 +47,7 @@ from .hierarchy import (
     FillingFactor,
     PositiveCF,
     StandardCF,
+    _decimal_digits,
     basis_index,
     blok_wen_sequence,
     decompose,
@@ -367,7 +368,12 @@ def _cmd_ladder_cyclicity(args):
 def _cmd_ff_eval(args):
     cls, evaluate = (StandardCF, eval_standard_cf) if args.form == "standard" else (PositiveCF, eval_positive_cf)
     nu = evaluate(cls(tuple(args.coeffs)))
-    return {"nu": str(nu), "num": nu.num, "den": nu.den}, None, None
+    try:
+        text = str(nu)
+    except ValueError:  # past sys.get_int_max_str_digits(), which guards a quadratic conversion
+        digits, limit = _decimal_digits(nu.den), sys.get_int_max_str_digits()
+        raise OverflowError(f"nu has a {digits}-digit denominator, past Python's {limit}-digit integer text limit") from None
+    return {"nu": text, "num": nu.num, "den": nu.den}, None, None
 
 
 def _cmd_ff_decompose(args):
@@ -590,7 +596,7 @@ def _run(argv) -> int:
     args.command_path = " ".join(part for part in (args.group, getattr(args, "action", None)) if part)
     try:
         result, passed, csv_text = args.handler(args)
-    except (DecompositionError, ArithmeticError) as exc:  # no expansion exists, or an internal cross-check failed
+    except (DecompositionError, ArithmeticError) as exc:  # no expansion, a value too long to write, or a failed cross-check
         print(f"failure: {exc}", file=sys.stderr)
         return 1
     except InfeasibleBaseError as exc:

@@ -15,15 +15,17 @@ coefficients.  The standard form reaches every odd-denominator rational in
 raises for those past MAX_DEPTH + 1 = 65 terms.  The positive form is
 unique when it exists and provably does not always exist (3/5 is the
 smallest miss), so decompose fails loudly there instead of pretending.
-Every computation in this module is exact integer or Fraction arithmetic;
-floats are deliberately absent.
+The continued-fraction engine runs on coprime integer pairs, with no
+per-step gcd; the Fraction engine it replaced is the tests' reference.
+Everything here is exact integer or Fraction arithmetic; floats are
+deliberately absent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, gcd
+from math import gcd, log10
 
 __all__ = [
     "MAX_DEPTH",
@@ -136,16 +138,30 @@ class PositiveCF(_ContinuedFraction):
 
 
 def _evaluate(cs: tuple[int, ...], sign: int) -> FillingFactor:
-    """nu = 1/(c0 + s/(c1 + s/(... + s/cr))) exactly, innermost level first."""
-    nu = Fraction(0)  # reciprocal of the level below the current one
+    """nu = 1/(c0 + s/(c1 + s/(... + s/cr))) exactly, innermost level first,
+    by the continuant step (n, d) <- (c n + s d, n) from (1, 0), which keeps n, d coprime."""
+    n, d = 1, 0
     for c in reversed(cs):
-        x = c + sign * nu
-        if x == 0:
+        n, d = c * n + sign * d, n
+        if n == 0:
             raise ValueError(f"zero intermediate denominator while evaluating {list(cs)}")
-        nu = 1 / x
-    if not 0 < nu <= 1:
-        raise ValueError(f"coefficients {list(cs)} evaluate to {nu}, outside (0, 1]")
-    return FillingFactor(nu.numerator, nu.denominator)
+    if n < 0:
+        n, d = -n, -d
+    if not 0 < d <= n:
+        try:
+            value = str(d) if n == 1 else f"{d}/{n}"
+        except ValueError:  # past sys.get_int_max_str_digits()
+            value = f"a ratio with a {_decimal_digits(n)}-digit denominator"
+        raise ValueError(f"coefficients {list(cs)} evaluate to {value}, outside (0, 1]")
+    return FillingFactor(d, n)
+
+
+def _decimal_digits(n: int) -> int:
+    """The number of decimal digits of n > 0, found without writing n as text."""
+    digits = max(1, int((n.bit_length() - 1) * log10(2)))  # at most the true count
+    while 10**digits <= n:
+        digits += 1
+    return digits
 
 
 def eval_standard_cf(cf: StandardCF) -> FillingFactor:
@@ -160,11 +176,6 @@ def eval_standard_cf(cf: StandardCF) -> FillingFactor:
 def eval_positive_cf(cf: PositiveCF) -> FillingFactor:
     """Evaluate nu = 1/(p0 + 1/(p1 + ...)) exactly."""
     return _evaluate(cf.coefficients, PositiveCF._sign)
-
-
-def _lowest_of_parity(bound: Fraction, parity: int) -> int:
-    """The least integer >= bound that is congruent to parity mod 2."""
-    return 2 * ceil((bound - parity) / 2) + parity
 
 
 def decompose(nu: FillingFactor, form: str = "standard") -> StandardCF | PositiveCF:
@@ -183,6 +194,11 @@ def decompose(nu: FillingFactor, form: str = "standard") -> StandardCF | Positiv
       form is therefore unique when it exists; when no such a exists it
       does not (3/5 is the smallest miss).
 
+    x = n/d is held as coprime integers with d > 0.  a is the least integer
+    of parity t at or above x - shift (shift 1 standard, 2 positive), one
+    floor division: a = 2 ceil((n - (shift + t) d) / 2d) + t.  The step
+    (n, d) <- (s d, n - a d), sign moved onto n, is unimodular: no gcd.
+
     At most MAX_DEPTH + 1 = 65 terms are produced.  The standard expansion
     of P/Q with P = (Q +- 1)/2 has P terms, so near-1/2 fractions from
     66/131 on (and near-1/4 and near-3/4 ones from Q = 259 on) raise
@@ -190,32 +206,31 @@ def decompose(nu: FillingFactor, form: str = "standard") -> StandardCF | Positiv
     form.  The returned sequence is re-evaluated exactly before it is
     returned.
     """
-    forms = {"standard": StandardCF, "positive": PositiveCF}
+    forms = {"standard": (StandardCF, 1), "positive": (PositiveCF, 2)}
     if form not in forms:
         raise ValueError(f"unknown form {form!r}, expected 'standard' or 'positive'")
-    cls = forms[form]
-    x = 1 / nu.value
+    cls, shift = forms[form]
+    sign = cls._sign
+    n, d = nu.den, nu.num  # x = 1/nu
     seq: list[int] = []
     while True:
         parity = 0 if seq else 1
-        if x.denominator == 1 and x.numerator % 2 == parity:
-            seq.append(x.numerator)
+        if d == 1 and n % 2 == parity:
+            seq.append(n)
             break
         if len(seq) == MAX_DEPTH:
             raise DecompositionError(
                 f"the {form} form of {nu} needs more than {MAX_DEPTH + 1} terms "
                 f"(MAX_DEPTH = {MAX_DEPTH})"
             )
-        if cls is StandardCF:
-            a = _lowest_of_parity(x - 1, parity)  # nearest to x, ties to the lower
-        else:
-            a = _lowest_of_parity(x - 2, parity)  # the largest below x
-            if x - a > Fraction(1, 2):
-                raise DecompositionError(f"no positive-form decomposition of {nu} exists")
+        a = parity - 2 * (((shift + parity) * d - n) // (2 * d))
+        rest = n - a * d  # x - a = rest/d
+        if cls is PositiveCF and 2 * rest > d:
+            raise DecompositionError(f"no positive-form decomposition of {nu} exists")
         seq.append(a)
-        x = cls._sign / (x - a)
+        n, d = (sign * d, rest) if rest > 0 else (-sign * d, -rest)
     result = cls(tuple(seq))
-    produced = _evaluate(result.coefficients, cls._sign)
+    produced = _evaluate(result.coefficients, sign)
     if produced != nu:
         raise ArithmeticError(f"decomposition {seq} of {nu} re-evaluated to {produced}")
     return result

@@ -5,7 +5,9 @@ coordinate j of sample s always consumes uniforms number 2*(s*n_coords + j)
 and the next one, and a polar Box-Muller map turns each pair into one
 complex point with density exp(-|z|^2)/pi.  Blocks can be generated in any
 order or on any worker; accumulating block results in index order is
-therefore bit-identical for every worker count.
+therefore bit-identical for every worker count.  The samples do not depend
+on the split, but at n >= 3 electrons the Jastrow product's last bits
+depend on the batch length, so BLOCK is part of every Monte Carlo result.
 """
 
 from __future__ import annotations

@@ -153,7 +153,12 @@ def as_config(coords, n_expected: int | None = None) -> np.ndarray:
 
 
 def _jastrow_batch(coords: np.ndarray, m: int) -> np.ndarray:
-    """prod_{i<j} (z_i - z_j)^m over a (samples, n) coordinate batch."""
+    """prod_{i<j} (z_i - z_j)^m over a (samples, n) coordinate batch.
+
+    At n >= 3 a row's last bits depend on the batch length (numpy's complex
+    products round differently by where a row falls in its loop), so Monte
+    Carlo results are reproducible for the fixed sampling.BLOCK only.
+    """
     n = coords.shape[1]
     out = np.ones(coords.shape[0], dtype=complex)
     for i in range(n):

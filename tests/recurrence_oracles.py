@@ -1,12 +1,29 @@
-"""Test-side oracles for the magnitude chains.
+"""Test-side oracles for the q-integers and the magnitude chains.
 
-The library solves both chains in closed form; these propagate them the
-plain way, one increment at a time, as independent references.
+The library takes [n] from exactly reduced sines and solves both chains in
+closed form; these evaluate [n] as the literal complex quotient and
+propagate the chains the plain way, one increment at a time, as
+independent references.
 """
 
 import numpy as np
 
 from hallrep.algebra import q_number
+
+
+def q_number_by_division(n: int, root) -> float:
+    """[n] evaluated literally as (q^n - q^-n)/(q - q^-1).
+
+    The quotient must come out real; an imaginary part beyond rounding noise
+    raises, otherwise it is discarded.
+    """
+    q = root.value
+    val = (q**n - q**-n) / (q - 1.0 / q)
+    # complex pow noise grows with |n| through the polar route
+    scale = max(1.0, abs(val)) * max(root.order, abs(n), 1)
+    if abs(val.imag) > 1e-14 * scale:
+        raise ArithmeticError(f"[{n}] evaluated to the non-real value {val!r}")
+    return val.real
 
 
 def cumulative_chain(increments) -> tuple[np.ndarray, float]:

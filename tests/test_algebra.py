@@ -19,10 +19,11 @@ from hallrep.algebra import (
     matrix_to_json,
     primitive_root,
     q_number,
-    q_number_by_division,
     verify_relations,
 )
 from hallrep.cyclic import build_ladder
+
+from recurrence_oracles import q_number_by_division
 
 
 def coprime_labels(order):

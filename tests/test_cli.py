@@ -16,6 +16,7 @@ from hallrep import cli
 from hallrep.algebra import PrimitiveRoot
 from hallrep.cli import main
 from hallrep.cyclic import build_ladder, rep_from_json, solve_generic_coefficients
+from hallrep.hierarchy import PositiveCF, eval_positive_cf
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -65,6 +66,31 @@ def test_ff_decompose_past_depth_bound_exits_one(capsys):
     code, out, err = run(capsys, "ff", "decompose", "--nu", "66/133")
     assert code == 1
     assert err.startswith("failure:") and "66/133" in err
+
+
+def denominator_digits(err):
+    return int(err.split("-digit denominator")[0].rsplit(" ", 1)[1])
+
+
+def test_ff_eval_past_the_integer_text_limit_exits_one(capsys):
+    # a valid list whose value has more digits than Python writes as text
+    coeffs = [1] + [100000] * 999
+    code, out, err = run(capsys, "ff", "eval", "--form", "positive", "--coeffs", ",".join(map(str, coeffs)))
+    assert code == 1 and out == ""
+    assert err.startswith("failure:") and err.count("\n") == 1
+    digits = denominator_digits(err)
+    den = eval_positive_cf(PositiveCF(tuple(coeffs))).den
+    assert 10 ** (digits - 1) <= den < 10**digits
+    assert f"{sys.get_int_max_str_digits()}-digit integer text limit" in err
+
+
+def test_ff_eval_out_of_range_past_the_integer_text_limit_is_usage_error(capsys):
+    # the same list in the standard form evaluates above 1
+    coeffs = ",".join(["1"] + ["100000"] * 999)
+    code, out, err = run(capsys, "ff", "eval", "--coeffs", coeffs)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert err.endswith("-digit denominator, outside (0, 1]\n") and denominator_digits(err) > 4300
 
 
 def test_ff_zero_denominator_is_usage_error(capsys):

@@ -23,12 +23,11 @@ from hallrep.hierarchy import (
     family_partition_sum,
 )
 
+from cf_oracle import first_difference, reduced_odd_fractions, reference_evaluate
 
-def reduced_odd_fractions(max_den):
-    for den in range(1, max_den + 1, 2):
-        for num in range(1, den + 1):
-            if gcd(num, den) == 1:
-                yield FillingFactor(num, den)
+# The round trips below judge the library's coefficients with the Fraction
+# reference evaluator, not with eval_*_cf: decompose and eval_*_cf share one
+# integer engine, so a fault common to both would cancel out.
 
 
 odd_q_fractions = st.integers(0, 48).flatmap(
@@ -93,6 +92,25 @@ def test_parity_constraints_enforced():
         StandardCF(())
 
 
+def test_eval_matches_reference_on_grids():
+    # values and error messages, on grids that include out-of-range sums
+    engines = (("standard", StandardCF, eval_standard_cf), ("positive", PositiveCF, eval_positive_cf))
+    for form, cls, evaluate in engines:
+        tail = [c for c in range(-6, 7) if c and c % 2 == 0 and cls._trailing_ok(c)]
+        for r in range(0, 4):
+            for head in (1, 3, 5):
+                for rest in product(tail, repeat=r):
+                    cs = (head, *rest)
+                    try:
+                        want = reference_evaluate(cs, form)
+                    except ValueError as exc:
+                        with pytest.raises(ValueError) as info:
+                            evaluate(cls(cs))
+                        assert str(info.value) == str(exc)
+                        continue
+                    assert evaluate(cls(cs)).value == want
+
+
 def test_eval_rejects_out_of_range():
     with pytest.raises(ValueError, match="outside"):
         eval_standard_cf(StandardCF((1, 2)))  # 1/(1 - 1/2) = 2
@@ -143,7 +161,7 @@ def test_decompose_unknown_form():
 def test_standard_roundtrip_random(nu):
     cf = decompose(nu, "standard")
     assert len(cf.coefficients) <= MAX_DEPTH + 1
-    assert eval_standard_cf(cf) == nu
+    assert reference_evaluate(cf.coefficients, "standard") == nu.value
 
 
 @settings(max_examples=150, deadline=None)
@@ -153,7 +171,7 @@ def test_positive_roundtrip_when_decomposable(nu):
         cf = decompose(nu, "positive")
     except DecompositionError:
         return
-    assert eval_positive_cf(cf) == nu
+    assert reference_evaluate(cf.coefficients, "positive") == nu.value
 
 
 def test_standard_decomposes_every_small_fraction():
@@ -186,7 +204,7 @@ def test_standard_exhaustive_to_q_301():
             raised += 1
             continue
         assert len(cf.coefficients) <= MAX_DEPTH + 1
-        assert eval_standard_cf(cf) == nu
+        assert reference_evaluate(cf.coefficients, "standard") == nu.value
     assert raised == 213
 
 
@@ -198,9 +216,14 @@ def test_positive_exhaustive_to_q_201():
             cf = decompose(nu, "positive")
         except DecompositionError:
             continue
-        assert eval_positive_cf(cf) == nu
+        assert reference_evaluate(cf.coefficients, "positive") == nu.value
         decomposed += 1
     assert (decomposed, total) == (903, 8283)
+
+
+def test_decompose_matches_reference_engine_to_q_201():
+    # the same coefficients, or the same error type and message, in both forms
+    assert first_difference(201) is None
 
 
 large_odd_q_fractions = st.integers(0, 4999).flatmap(
@@ -211,7 +234,6 @@ large_odd_q_fractions = st.integers(0, 4999).flatmap(
 @settings(max_examples=200, deadline=None)
 @given(large_odd_q_fractions, st.sampled_from(["standard", "positive"]))
 def test_decompose_bounded_for_large_q(nu, form):
-    evaluate = eval_standard_cf if form == "standard" else eval_positive_cf
     start = time.perf_counter()
     try:
         cf = decompose(nu, form)
@@ -220,7 +242,7 @@ def test_decompose_bounded_for_large_q(nu, form):
     assert time.perf_counter() - start < 0.05
     if cf is not None:
         assert len(cf.coefficients) <= MAX_DEPTH + 1
-        assert evaluate(cf) == nu
+        assert reference_evaluate(cf.coefficients, form) == nu.value
 
 
 # ----------------------------------------------------------------------
