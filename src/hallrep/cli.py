@@ -14,7 +14,10 @@ and restores the caller's setting after; library calls are unaffected.
 bytes finds the [re, im] pair lists of the text the CLI writes, which are
 decoded straight to arrays and certified by re-encoding them to the same
 bytes, and any other file is decoded by json.loads, so values, errors and
-exit codes are the same.
+exit codes are the same.  A verb group imports only the modules its handlers
+call: `ff` needs only the integer arithmetic of hallrep.hierarchy and never
+imports numpy; `rep` and `ladder` add algebra and cyclic; `wf` adds algebra
+and wavefunctions.
 """
 
 from __future__ import annotations
@@ -23,25 +26,14 @@ import argparse
 import cmath
 import functools
 import gc
+import importlib
 import json
 import json.scanner
 import math
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
-from .algebra import PrimitiveRoot, _PairText, _pairs_text, complex_from_pairs, complex_to_pairs, verify_relations
-from .cyclic import (
-    InfeasibleBaseError,
-    build_ladder,
-    cyclicity_check,
-    intertwiner,
-    rep_from_json,
-    solve_generic_coefficients,
-    solve_ladder_magnitudes,
-)
 from .hierarchy import (
     DecompositionError,
     FillingFactor,
@@ -56,17 +48,68 @@ from .hierarchy import (
     family,
     family_partition_sum,
 )
-from .wavefunctions import (
-    HierarchyR1Spec,
-    LaughlinSpec,
-    as_config,
-    gram_matrix,
-    hierarchy_r1_eval,
-    inner_product_exact,
-    inner_product_mc,
-    laughlin_eval,
-    spec_from_json,
-)
+
+# The library names the handlers call beyond hierarchy's, by module, and the
+# modules each verb group's handlers need.  A module is imported by the first
+# command of a group that needs it, or by the first lookup of one of its
+# names as a `cli` attribute; `ff` imports none, so it never loads numpy.
+_NAMES = {
+    "algebra": ("PrimitiveRoot", "_PairText", "_pairs_text", "complex_from_pairs", "complex_to_pairs", "verify_relations"),
+    "cyclic": (
+        "InfeasibleBaseError",
+        "build_ladder",
+        "cyclicity_check",
+        "intertwiner",
+        "rep_from_json",
+        "solve_generic_coefficients",
+        "solve_ladder_magnitudes",
+    ),
+    "wavefunctions": (
+        "LaughlinSpec",
+        "as_config",
+        "gram_matrix",
+        "hierarchy_r1_eval",
+        "inner_product_exact",
+        "inner_product_mc",
+        "laughlin_eval",
+        "spec_from_json",
+    ),
+}
+_OWNER = {name: module for module, names in _NAMES.items() for name in names}
+_GROUP_MODULES = {
+    "rep": ("algebra", "cyclic"),
+    "ladder": ("algebra", "cyclic"),
+    "ff": (),
+    "wf": ("algebra", "wavefunctions"),
+}
+
+
+def __getattr__(name):
+    module = _OWNER.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__package__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def _bind(group) -> None:
+    """Bind the names the group's handlers call that are not bound yet.
+
+    A name already set stays, so a wrapper or replacement installed before
+    the first command is the one the handlers call.
+    """
+    for module in _GROUP_MODULES[group]:
+        for name in _NAMES[module]:
+            if name not in globals():
+                __getattr__(name)
+
+
+def _is_array(value) -> bool:
+    # no array exists before numpy is imported, so this never imports it
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(value, np.ndarray)
+
 
 CYCLICITY_TOL = 1e-9
 INTERTWINER_TOL = 1e-10
@@ -144,7 +187,7 @@ def _decode_rep_text(text: str):
         # the scanner refers to itself, so the text's scan would stay in
         # that reference cycle until a collector pass; release it now
         del lists
-    if sum(isinstance(slot, np.ndarray) for slot in _pair_slots(obj)) != certified:
+    if sum(map(_is_array, _pair_slots(obj))) != certified:
         return json.loads(text)
     return obj
 
@@ -182,7 +225,7 @@ def _use_color() -> bool:
 
 
 def _flatten(value, prefix=""):
-    if isinstance(value, np.ndarray):
+    if _is_array(value):
         value = complex_to_pairs(value)
     rows = []
     if isinstance(value, dict):
@@ -210,7 +253,7 @@ def _json_chunks(value):
             yield f"{', ' if i else ''}{json.dumps(key)}: "
             yield from _json_chunks(sub)
         yield "}"
-    elif isinstance(value, np.ndarray):
+    elif _is_array(value):
         yield _pairs_text(value)
     else:
         # a report is a fresh tree of dicts, lists and scalars: it holds no cycle
@@ -275,6 +318,8 @@ def _cmd_rep_solve(args):
 
 
 def _cmd_rep_build(args):
+    import numpy as np
+
     stored = _load_rep(args.infile)
     rebuilt = stored.rebuild()
     # np.max keeps a nan deviation, which Python's max would drop; _emit then refuses the report
@@ -365,15 +410,24 @@ def _cmd_ladder_cyclicity(args):
 # ff handlers
 
 
+def _rational_text(name: str, num: int, den: int) -> str:
+    """num/den as text, or num when den is 1, as str gives it for a Fraction or FillingFactor.
+
+    A part past sys.get_int_max_str_digits(), which guards a quadratic
+    conversion, is an OverflowError that gives the longer part's digit count.
+    """
+    try:
+        return str(num) if den == 1 else f"{num}/{den}"
+    except ValueError:
+        part, size = ("numerator", abs(num)) if abs(num) > den else ("denominator", den)
+        digits, limit = _decimal_digits(size), sys.get_int_max_str_digits()
+        raise OverflowError(f"{name} has a {digits}-digit {part}, past Python's {limit}-digit integer text limit") from None
+
+
 def _cmd_ff_eval(args):
     cls, evaluate = (StandardCF, eval_standard_cf) if args.form == "standard" else (PositiveCF, eval_positive_cf)
     nu = evaluate(cls(tuple(args.coeffs)))
-    try:
-        text = str(nu)
-    except ValueError:  # past sys.get_int_max_str_digits(), which guards a quadratic conversion
-        digits, limit = _decimal_digits(nu.den), sys.get_int_max_str_digits()
-        raise OverflowError(f"nu has a {digits}-digit denominator, past Python's {limit}-digit integer text limit") from None
-    return {"nu": text, "num": nu.num, "den": nu.den}, None, None
+    return {"nu": _rational_text("nu", nu.num, nu.den), "num": nu.num, "den": nu.den}, None, None
 
 
 def _cmd_ff_decompose(args):
@@ -396,8 +450,8 @@ def _cmd_ff_family(args):
 def _cmd_ff_blokwen(args):
     seq = blok_wen_sequence(PositiveCF(tuple(args.coeffs)))
     return {
-        "thetas": [str(t) for t in seq.thetas],
-        "qs": [str(q) for q in seq.qs],
+        "thetas": [_rational_text(f"theta_{r}", t.numerator, t.denominator) for r, t in enumerate(seq.thetas)],
+        "qs": [_rational_text(f"q_{r}", q.numerator, q.denominator) for r, q in enumerate(seq.qs)],
     }, None, None
 
 
@@ -594,16 +648,17 @@ def _run(argv) -> int:
         parser.print_usage(sys.stderr)
         return 2
     args.command_path = " ".join(part for part in (args.group, getattr(args, "action", None)) if part)
+    _bind(args.group)
     try:
         result, passed, csv_text = args.handler(args)
     except (DecompositionError, ArithmeticError) as exc:  # no expansion, a value too long to write, or a failed cross-check
         print(f"failure: {exc}", file=sys.stderr)
         return 1
-    except InfeasibleBaseError as exc:
-        print(f"error: --base {exc.base} is infeasible; the infimum is {exc.infimum_base}", file=sys.stderr)
-        return 2
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if "cyclic" in _GROUP_MODULES[args.group] and isinstance(exc, InfeasibleBaseError):
+            print(f"error: --base {exc.base} is infeasible; the infimum is {exc.infimum_base}", file=sys.stderr)
+        else:
+            print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
         _emit(args, _envelope(args, result), csv_text, passed)

@@ -16,7 +16,7 @@ from hallrep import cli
 from hallrep.algebra import PrimitiveRoot
 from hallrep.cli import main
 from hallrep.cyclic import build_ladder, rep_from_json, solve_generic_coefficients
-from hallrep.hierarchy import PositiveCF, eval_positive_cf
+from hallrep.hierarchy import PositiveCF, blok_wen_sequence, eval_positive_cf
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -104,6 +104,20 @@ def test_ff_blokwen(capsys):
     report = run_json(capsys, "ff", "blokwen", "--coeffs", "1,2")
     assert report["result"]["thetas"] == ["0", "-1"]
     assert report["result"]["qs"] == ["-1", "1"]
+
+
+def test_ff_blokwen_past_the_integer_text_limit_exits_one(capsys):
+    # a valid positive-form list whose auxiliary sequences outgrow Python's integer text
+    coeffs = [1] + [100000] * 999
+    code, out, err = run(capsys, "ff", "blokwen", "--coeffs", ",".join(map(str, coeffs)))
+    assert code == 1 and out == ""
+    assert err.startswith("failure: theta_") and err.count("\n") == 1
+    r = int(err.split(" has ")[0].rsplit("_", 1)[1])
+    theta = blok_wen_sequence(PositiveCF(tuple(coeffs))).thetas[r]
+    digits = denominator_digits(err)
+    assert digits > sys.get_int_max_str_digits()
+    assert 10 ** (digits - 1) <= theta.denominator < 10**digits and abs(theta.numerator) < theta.denominator
+    assert f"{sys.get_int_max_str_digits()}-digit integer text limit" in err
 
 
 def test_ff_index(capsys):
