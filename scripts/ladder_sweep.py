@@ -10,7 +10,7 @@ Usage: python scripts/ladder_sweep.py [--max-p 25] [--all-k]
 import argparse
 from math import gcd
 
-from hallrep import build_ladder, cyclicity_check, primitive_root, verify_relations
+from hallrep import PrimitiveRoot, build_ladder, cyclicity_check, verify_relations
 
 
 def main():
@@ -26,7 +26,7 @@ def main():
         order = 2 * p + 1
         labels = [k for k in range(1, order) if gcd(k, order) == 1] if args.all_k else [1]
         for k in labels:
-            root = primitive_root(p, k)
+            root = PrimitiveRoot(p, k)
             rep = build_ladder(root)
             rpt = verify_relations(rep.k_mat, rep.e_plus, rep.e_minus, root)
             cyc = cyclicity_check(rep)

@@ -17,19 +17,14 @@ _EXPORTS = {
         "RelationReport",
         "default_tolerance",
         "frobenius",
-        "matrix_from_json",
-        "matrix_to_json",
-        "primitive_root",
         "q_number",
         "verify_relations",
     ),
     "cyclic": (
         "CyclicRep",
         "CyclicityReport",
-        "GenericCyclicRep",
         "InfeasibleBaseError",
         "IntertwinerResult",
-        "LadderRep",
         "build_ladder",
         "cyclicity_check",
         "generic_from_coefficients",

@@ -23,9 +23,6 @@ __all__ = [
     "complex_to_pairs",
     "default_tolerance",
     "frobenius",
-    "matrix_from_json",
-    "matrix_to_json",
-    "primitive_root",
     "q_number",
     "verify_relations",
 ]
@@ -59,11 +56,6 @@ class PrimitiveRoot:
         return 2 * self.p + 1
 
     @property
-    def angle(self) -> float:
-        """The argument theta = 2*pi*k/(2p+1)."""
-        return 2.0 * math.pi * self.k / self.order
-
-    @property
     def value(self) -> complex:
         return self.power(1)
 
@@ -94,11 +86,6 @@ def _sin_pi(j, d: int):
     sign = 1 - 2 * (j >= d)
     j = j % d
     return sign * np.sin(np.pi * np.minimum(j, d - j) / d)
-
-
-def primitive_root(p: int, k: int = 1) -> PrimitiveRoot:
-    """Construct exp(2*pi*i*k/(2p+1)), rejecting non-coprime k and p < 1."""
-    return PrimitiveRoot(p, k)
 
 
 def q_number(n, root: PrimitiveRoot):
@@ -201,16 +188,30 @@ class RelationReport:
 
     detected_conjugation_sign is +2 when K E+ K^-1 = q^(+2) E+ holds within
     tolerance, -2 when the q^(-2) convention holds, and None (indeterminate)
-    when neither or both do, e.g. for vanishing ladder operators.
+    when neither or both do, e.g. for vanishing ladder operators.  passed
+    holds when failing() names no residual; a nan residual fails.
     """
 
     commutator_residual: float
     conjugation_residual_plus: float
     conjugation_residual_minus: float
-    detected_conjugation_sign: int | None
     unitarity_residuals: tuple[float, float]
     tolerance: float
-    passed: bool
+
+    def _conjugation_holds(self) -> tuple[bool, bool]:
+        """Whether the q^(+2) and the q^(-2) conjugation conventions hold within the tolerance."""
+        return self.conjugation_residual_plus <= self.tolerance, self.conjugation_residual_minus <= self.tolerance
+
+    @property
+    def detected_conjugation_sign(self) -> int | None:
+        plus_ok, minus_ok = self._conjugation_holds()
+        if plus_ok == minus_ok:
+            return None
+        return 2 if plus_ok else -2
+
+    @property
+    def passed(self) -> bool:
+        return not self.failing()
 
     def to_json(self) -> dict:
         """Serialize with residuals as decimal strings at 17 significant digits."""
@@ -233,12 +234,12 @@ class RelationReport:
         }
 
     def failing(self) -> list[str]:
-        """Names of the residuals not within the tolerance, nan ones included, as in passed."""
+        """Names of the residuals not within the tolerance, nan ones included."""
         tol = self.tolerance
         out = []
         if not self.commutator_residual <= tol:
             out.append(f"commutator_residual={self.commutator_residual:.3e}")
-        if not (self.conjugation_residual_plus <= tol or self.conjugation_residual_minus <= tol):
+        if not any(self._conjugation_holds()):
             out.append(
                 f"conjugation_residual_minus={self.conjugation_residual_minus:.3e}"
             )
@@ -286,29 +287,12 @@ def verify_relations(
     else:
         residuals = _wrapped_residuals(*wrapped, root)
     commutator_residual, res_plus, res_minus, unitarity = residuals
-
-    plus_ok = res_plus <= tol
-    minus_ok = res_minus <= tol
-    if plus_ok and not minus_ok:
-        sign = 2
-    elif minus_ok and not plus_ok:
-        sign = -2
-    else:
-        sign = None
-    passed = (
-        commutator_residual <= tol
-        and (plus_ok or minus_ok)
-        and unitarity[0] <= tol
-        and unitarity[1] <= tol
-    )
     return RelationReport(
         commutator_residual=commutator_residual,
         conjugation_residual_plus=res_plus,
         conjugation_residual_minus=res_minus,
-        detected_conjugation_sign=sign,
         unitarity_residuals=unitarity,
         tolerance=tol,
-        passed=passed,
     )
 
 
@@ -496,14 +480,6 @@ def complex_from_pairs(pairs) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=float).view(complex)[:, 0]
 
 
-def matrix_to_json(mat) -> dict:
-    """Dense complex matrix as {dim, entries: [[re, im], ...]} in row-major order."""
-    mat = np.asarray(mat, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    return {"dim": int(mat.shape[0]), "entries": complex_to_pairs(mat)}
-
-
 def _json_int(obj, key: str) -> int:
     """The integer obj[key] of a decoded JSON object; anything else raises ValueError."""
     if not isinstance(obj, dict):
@@ -514,7 +490,8 @@ def _json_int(obj, key: str) -> int:
     return value
 
 
-def matrix_from_json(obj) -> np.ndarray:
+def _matrix_from_json(obj) -> np.ndarray:
+    """The read-only dim x dim complex matrix of a decoded {"dim", "entries"} object."""
     dim = _json_int(obj, "dim")
     out = complex_from_pairs(obj["entries"])
     if out.size != dim * dim:

@@ -599,7 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd = sub(wf_sub, "eval", _cmd_wf_eval, "evaluate a wavefunction at one configuration")
     cmd.add_argument("--spec", type=_json_arg, required=True, help='wavefunction spec JSON, e.g. {"variant":"laughlin","m":3,"n_electrons":2}')
     cmd.add_argument("--config", type=_json_arg, required=True, help="coordinates as JSON [[re,im],...]")
-    cmd.add_argument("--quad-order", type=int, default=32, help="per-axis quadrature order (hierarchy specs)")
+    cmd.add_argument("--quad-order", type=int, default=32, help="per-axis quadrature order, 8 to 256 (hierarchy specs)")
     cmd = sub(wf_sub, "inner", _cmd_wf_inner, "scalar product of two wavefunctions")
     cmd.add_argument("--spec-a", type=_json_arg, required=True, help="first spec JSON")
     cmd.add_argument("--spec-b", type=_json_arg, required=True, help="second spec JSON")

@@ -20,13 +20,11 @@ independent flavors:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from . import sampling
 from .algebra import _json_int
 from .hierarchy import FillingFactor, StandardCF, eval_standard_cf
 
@@ -50,6 +48,10 @@ __all__ = [
 MAX_EXPANSION_DEGREE = 60
 
 MIN_MC_SAMPLES = 1000
+
+# hermgauss builds an order x order companion matrix, and its weights overflow
+# from order 371 on (non-finite from 372); the rule is exact past n_electrons / 2
+_MAX_QUAD_ORDER = 256
 
 
 # ----------------------------------------------------------------------
@@ -155,9 +157,10 @@ def as_config(coords, n_expected: int | None = None) -> np.ndarray:
 def _jastrow_batch(coords: np.ndarray, m: int) -> np.ndarray:
     """prod_{i<j} (z_i - z_j)^m over a (samples, n) coordinate batch.
 
-    At n >= 3 a row's last bits depend on the batch length (numpy's complex
-    products round differently by where a row falls in its loop), so Monte
-    Carlo results are reproducible for the fixed sampling.BLOCK only.
+    At n = 2 a row's bits do not depend on the batch length.  At n >= 3 its
+    last bits do, within 1e-15 relative (numpy's complex products round
+    differently by where a row falls in its loop), so Monte Carlo results
+    are reproducible for the fixed sampling.BLOCK only.
     """
     n = coords.shape[1]
     out = np.ones(coords.shape[0], dtype=complex)
@@ -213,9 +216,9 @@ def _auxiliary_integral(spec: HierarchyR1Spec, z: np.ndarray, quad_order: int) -
 def hierarchy_r1_eval(spec: HierarchyR1Spec, config, quad_order: int = 32) -> complex:
     """Wavefunction value with the single auxiliary coordinate integrated out.
 
-    quad_order is the per-axis Gauss-Hermite order, exposed so convergence
-    under doubling is testable.  Only n_quasi = 1 is supported; nested
-    auxiliary integrals are out of scope.
+    quad_order is the per-axis Gauss-Hermite order, 8 to 256, exposed so
+    convergence under doubling is testable.  Only n_quasi = 1 is supported;
+    nested auxiliary integrals are out of scope.
 
     As an oracle the quadrature has a limit: where prod_j z_j is small, its
     node values cancel to the much smaller constant term, and the error
@@ -229,6 +232,8 @@ def hierarchy_r1_eval(spec: HierarchyR1Spec, config, quad_order: int = 32) -> co
         raise ValueError(f"only a single auxiliary coordinate is supported, got {spec.n_quasi}")
     if quad_order < 8:
         raise ValueError(f"quad_order must be at least 8, got {quad_order}")
+    if quad_order > _MAX_QUAD_ORDER:
+        raise ValueError(f"quad_order must be at most {_MAX_QUAD_ORDER}, got {quad_order}")
     z = as_config(config, spec.n_electrons)
     value = (
         _jastrow_batch(z[None, :], spec.a0)[0]
@@ -382,6 +387,11 @@ def _mc_estimates(specs, pairs, samples, seed, workers):
     count.  A diagonal pair sums |v|^2 = Re(v)^2 + Im(v)^2, so its total is
     exactly real.
     """
+    # imported here: the exact and pointwise paths never load numpy.random or a thread pool
+    from concurrent.futures import ThreadPoolExecutor
+
+    from . import sampling
+
     if samples < MIN_MC_SAMPLES:
         raise ValueError(f"need at least {MIN_MC_SAMPLES} samples, got {samples}")
     if workers < 1:

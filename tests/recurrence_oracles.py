@@ -52,7 +52,10 @@ def weight_chain_oracle(root, lam) -> tuple[np.ndarray, float]:
 def consolidated_residual(solution) -> float:
     """Max deviation from |a_i|^2 - |a_{i-2}|^2 = [i] over all labels."""
     root = solution.root
-    mag = solution.magnitude
+
+    def mag(i):
+        return solution.magnitudes[(i - 1) % root.order]  # label i at slot i-1, cyclically
+
     return max(
         abs(mag(i) - mag(i - 2) - q_number(i, root)) for i in range(1, root.order + 1)
     )

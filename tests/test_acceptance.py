@@ -13,7 +13,7 @@ from math import gcd
 
 import numpy as np
 
-from hallrep.algebra import primitive_root, q_number, verify_relations
+from hallrep.algebra import PrimitiveRoot, q_number, verify_relations
 from hallrep.cyclic import (
     build_ladder,
     cyclicity_check,
@@ -55,7 +55,7 @@ def coprime_labels(order):
 def ladder_sweep(max_p):
     for p in range(1, max_p + 1):
         for k in coprime_labels(2 * p + 1):
-            yield primitive_root(p, k)
+            yield PrimitiveRoot(p, k)
 
 
 def test_criterion_01_algebra_closure():
@@ -116,7 +116,7 @@ def test_criterion_04_recurrence_consistency():
     for p in range(1, 51):
         order = 2 * p + 1
         for k in coprime_labels(order):
-            root = primitive_root(p, k)
+            root = PrimitiveRoot(p, k)
             worst_sum = max(
                 worst_sum, abs(sum(q_number(i, root) for i in range(1, order + 1)))
             )
@@ -145,7 +145,7 @@ def test_criterion_05_p1_closed_form():
     rational_infimum = -min(Fraction(-1), Fraction(0), Fraction(0))
     rational_ok = rational_ok and rational_infimum == Fraction(1)
 
-    solution = solve_ladder_magnitudes(primitive_root(1), 2.0)
+    solution = solve_ladder_magnitudes(PrimitiveRoot(1), 2.0)
     float_ok = all(
         abs(got - float(want)) < 1e-14
         for got, want in zip(solution.magnitudes, (a1, a2, a3))
@@ -310,7 +310,7 @@ def test_criterion_10_intertwiner():
     for p in range(1, 11):
         order = 2 * p + 1
         for k in coprime_labels(order):
-            rep = build_ladder(primitive_root(p, k))
+            rep = build_ladder(PrimitiveRoot(p, k))
             for s in range(order):
                 res = intertwiner(rep, s)
                 assert sorted(res.sigma) == list(range(1, order + 1))

@@ -9,15 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hallrep.algebra import (
+    PrimitiveRoot,
+    _matrix_from_json,
     _pairs_from_text,
     _pairs_text,
     complex_from_pairs,
     complex_to_pairs,
     default_tolerance,
     frobenius,
-    matrix_from_json,
-    matrix_to_json,
-    primitive_root,
     q_number,
     verify_relations,
 )
@@ -31,41 +30,41 @@ def coprime_labels(order):
 
 
 roots = st.integers(1, 30).flatmap(
-    lambda p: st.sampled_from(coprime_labels(2 * p + 1)).map(lambda k: primitive_root(p, k))
+    lambda p: st.sampled_from(coprime_labels(2 * p + 1)).map(lambda k: PrimitiveRoot(p, k))
 )
 
 
 def test_primitive_root_p1_value():
-    q = primitive_root(1)
+    q = PrimitiveRoot(1)
     assert q.value == pytest.approx(complex(-0.5, math.sqrt(3.0) / 2.0), abs=1e-15)
 
 
 def test_primitive_root_p2_value():
-    assert primitive_root(2).value == pytest.approx(cmath.exp(2j * math.pi / 5), abs=1e-15)
+    assert PrimitiveRoot(2).value == pytest.approx(cmath.exp(2j * math.pi / 5), abs=1e-15)
 
 
 def test_primitive_root_rejects_non_coprime():
     with pytest.raises(ValueError, match="not a primitive root"):
-        primitive_root(2, 5)
+        PrimitiveRoot(2, 5)
 
 
 def test_primitive_root_rejects_bad_p():
     with pytest.raises(ValueError):
-        primitive_root(0)
+        PrimitiveRoot(0)
     with pytest.raises(ValueError):
-        primitive_root(-3)
+        PrimitiveRoot(-3)
 
 
 def test_primitive_root_normalizes_k():
-    assert primitive_root(2, 7).k == 2
-    assert primitive_root(2, -1).k == 4
+    assert PrimitiveRoot(2, 7).k == 2
+    assert PrimitiveRoot(2, -1).k == 4
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 7, 19, 50])
 def test_primitivity_invariants(p):
     order = 2 * p + 1
     for k in coprime_labels(order)[:6]:
-        q = primitive_root(p, k)
+        q = PrimitiveRoot(p, k)
         assert abs(q.value ** order - 1) < 1e-14 * order
         assert abs(abs(q.value) - 1) < 1e-14
         for n in range(1, order):
@@ -74,19 +73,19 @@ def test_primitivity_invariants(p):
 
 def test_q_number_unit():
     for p in (1, 2, 5):
-        assert q_number(1, primitive_root(p)) == 1.0
+        assert q_number(1, PrimitiveRoot(p)) == 1.0
 
 
 def test_q_number_vanishes_at_order():
     for p in (1, 2, 9):
-        q = primitive_root(p)
+        q = PrimitiveRoot(p)
         assert q_number(q.order, q) == 0.0
         assert abs(q_number_by_division(q.order, q)) < 1e-12
 
 
 def test_q_number_p1_n2():
     # [2] at the cube root of unity equals 2*cos(2*pi/3) = -1
-    q = primitive_root(1)
+    q = PrimitiveRoot(1)
     assert q_number(2, q) == -1.0
     assert q_number_by_division(2, q) == pytest.approx(2 * math.cos(2 * math.pi / 3), abs=1e-14)
 
@@ -120,7 +119,7 @@ def test_q_number_of_an_array_matches_the_scalar_floats(root):
 
 
 def test_verify_relations_identity_inputs():
-    root = primitive_root(2)
+    root = PrimitiveRoot(2)
     zero = np.zeros((5, 5))
     report = verify_relations(np.eye(5), zero, zero, root)
     assert report.commutator_residual == 0.0
@@ -129,7 +128,7 @@ def test_verify_relations_identity_inputs():
 
 
 def test_verify_relations_solved_ladder():
-    root = primitive_root(1)
+    root = PrimitiveRoot(1)
     rep = build_ladder(root, base=2.0)
     report = verify_relations(rep.k_mat, rep.e_plus, rep.e_minus, root)
     assert report.passed
@@ -139,19 +138,19 @@ def test_verify_relations_solved_ladder():
 
 
 def test_verify_relations_dimension_mismatch():
-    root = primitive_root(1)
+    root = PrimitiveRoot(1)
     with pytest.raises(ValueError, match="shape"):
         verify_relations(np.eye(3), np.zeros((4, 4)), np.zeros((3, 3)), root)
 
 
 def test_verify_relations_rejects_non_square_k():
     with pytest.raises(ValueError, match="K must be square"):
-        verify_relations(np.eye(3)[:2], np.zeros((3, 3)), np.zeros((3, 3)), primitive_root(1))
+        verify_relations(np.eye(3)[:2], np.zeros((3, 3)), np.zeros((3, 3)), PrimitiveRoot(1))
 
 
 def test_verify_relations_detects_the_other_conjugation_sign():
     # swapping E+ and E- swaps which of q^(+-2) the conjugation by K gives
-    root = primitive_root(2)
+    root = PrimitiveRoot(2)
     rep = build_ladder(root)
     report = verify_relations(rep.k_mat, rep.e_minus, rep.e_plus, root)
     assert report.detected_conjugation_sign == 2
@@ -159,7 +158,7 @@ def test_verify_relations_detects_the_other_conjugation_sign():
 
 
 def test_verify_relations_unitary_conjugation_invariance():
-    root = primitive_root(3, 2)
+    root = PrimitiveRoot(3, 2)
     rep = build_ladder(root)
     before = verify_relations(rep.k_mat, rep.e_plus, rep.e_minus, root)
     rng = np.random.default_rng(11)
@@ -177,7 +176,7 @@ def test_verify_relations_unitary_conjugation_invariance():
 
 
 def test_relation_report_json():
-    root = primitive_root(1)
+    root = PrimitiveRoot(1)
     rep = build_ladder(root)
     payload = verify_relations(rep.k_mat, rep.e_plus, rep.e_minus, root).to_json()
     assert payload["pass"] is True
@@ -195,19 +194,20 @@ def test_relation_report_json():
 def test_matrix_json_roundtrip_bit_identical():
     rng = np.random.default_rng(3)
     mat = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    back = matrix_from_json(matrix_to_json(mat))
+    back = _matrix_from_json({"dim": 4, "entries": complex_to_pairs(mat)})
     assert np.array_equal(back, mat)
+    assert not back.flags.writeable
 
 
 def test_matrix_json_rejects_bad_payload():
     with pytest.raises(ValueError):
-        matrix_to_json(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        matrix_from_json({"dim": 2, "entries": [[0.0, 0.0]]})
+        _matrix_from_json({"dim": 2, "entries": [[0.0, 0.0]]})
+    with pytest.raises(ValueError, match="'dim' must be an integer"):
+        _matrix_from_json({"dim": 2.0, "entries": [[0.0, 0.0]] * 4})
 
 
 def per_entry_matrix_json(mat):
-    """The per-element encoder that the vectorised matrix_to_json replaced."""
+    """The {"dim", "entries"} object of a square matrix, one element at a time."""
     mat = np.asarray(mat, dtype=complex)
     return {"dim": int(mat.shape[0]), "entries": [[float(z.real), float(z.imag)] for z in mat.reshape(-1)]}
 
@@ -219,19 +219,19 @@ def test_matrix_json_non_contiguous_input_matches_per_entry_encoder():
     big = rng.normal(size=(9, 12))
     for view in (mat.T, mat[::-1, ::2][:4, :4], mat.conj().T, big[1:8:2, 2:10:2], np.arange(9).reshape(3, 3).T):
         assert not view.flags.c_contiguous
-        encoded = matrix_to_json(view)
+        encoded = {"dim": len(view), "entries": complex_to_pairs(view)}
         want = per_entry_matrix_json(view)
         assert encoded == want
         assert all(type(x) is float for pair in encoded["entries"] for x in pair)
         signs = np.signbit(np.array(encoded["entries"]))
         assert np.array_equal(signs, np.signbit(np.array(want["entries"])))
-        assert np.array_equal(matrix_from_json(encoded), view)
+        assert np.array_equal(_matrix_from_json(encoded), view)
 
 
 def test_matrix_json_rejects_ragged_entry():
     entries = [[0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
     with pytest.raises(ValueError):
-        matrix_from_json({"dim": 2, "entries": entries})
+        _matrix_from_json({"dim": 2, "entries": entries})
 
 
 def test_complex_pairs_roundtrip_keeps_signed_zeros():
@@ -259,7 +259,7 @@ def pairs_text_cases():
         "real": rng.normal(size=(3, 4)),
         "transpose": dense.T,
         "strided": dense[::2, 1::3],
-        "adjoint": build_ladder(primitive_root(4, 2), phases=rng.uniform(-7, 7, 9)).e_minus,
+        "adjoint": build_ladder(PrimitiveRoot(4, 2), phases=rng.uniform(-7, 7, 9)).e_minus,
         "scalar": np.complex128(-0.0 + 2j),
         "empty": np.zeros((0, 0), dtype=complex),
         "long-mixed-signs": long_mixed_signs(rng),

@@ -272,6 +272,20 @@ def test_wf_eval_laughlin_and_hierarchy(capsys):
     assert report["result"]["value"] != [0.0, 0.0]
 
 
+@pytest.mark.parametrize("order", [372, 10**6])
+def test_wf_eval_quad_order_past_the_ceiling_is_usage_error(capsys, monkeypatch, order):
+    from hallrep import wavefunctions
+
+    monkeypatch.setattr(wavefunctions, "_hermite_rule", lambda order: pytest.fail(f"rule built at order {order}"))
+    spec = json.dumps({"variant": "hierarchy_r1", "a0": 3, "a1": 2, "b": 1, "n_electrons": 2})
+    config = json.dumps([[1.0, 0.0], [0.0, 0.0]])
+    code, out, err = run(capsys, "wf", "eval", "--spec", spec, "--config", config, "--quad-order", str(order))
+    assert code == 2 and out == ""
+    assert err == f"error: quad_order must be at most {wavefunctions._MAX_QUAD_ORDER}, got {order}\n"
+    _, help_text, _ = run(capsys, "wf", "eval", "--help")
+    assert f"8 to {wavefunctions._MAX_QUAD_ORDER}" in " ".join(help_text.split())
+
+
 def test_wf_gram_csv_format(capsys):
     specs = json.dumps([
         {"variant": "laughlin", "m": 1, "n_electrons": 2},

@@ -8,12 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hallrep.algebra import primitive_root, q_number, verify_relations
+from hallrep.algebra import PrimitiveRoot, q_number, verify_relations
 from hallrep.cyclic import (
     CyclicRep,
-    GenericCyclicRep,
     InfeasibleBaseError,
-    LadderRep,
     build_ladder,
     cyclicity_check,
     generic_infimum_base,
@@ -44,24 +42,24 @@ def p1_magnitude_oracle(base: Fraction):
 def test_p1_magnitudes_match_rational_oracle():
     oracle = p1_magnitude_oracle(Fraction(2))
     assert oracle == (Fraction(2), Fraction(1), Fraction(2))
-    solution = solve_ladder_magnitudes(primitive_root(1), 2.0)
+    solution = solve_ladder_magnitudes(PrimitiveRoot(1), 2.0)
     for got, want in zip(solution.magnitudes, oracle):
         assert got == pytest.approx(float(want), abs=1e-14)
 
 
 def test_p1_infimum_base():
-    assert ladder_infimum_base(primitive_root(1)) == pytest.approx(1.0, abs=1e-14)
+    assert ladder_infimum_base(PrimitiveRoot(1)) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_base_below_infimum_reports_infimum():
     with pytest.raises(InfeasibleBaseError) as err:
-        solve_ladder_magnitudes(primitive_root(1), 0.5)
+        solve_ladder_magnitudes(PrimitiveRoot(1), 0.5)
     assert err.value.infimum_base == pytest.approx(1.0, abs=1e-14)
     assert "infimum" in str(err.value)
 
 
 def test_default_base_is_infimum_plus_one():
-    root = primitive_root(4, 5)
+    root = PrimitiveRoot(4, 5)
     solution = solve_ladder_magnitudes(root)
     assert solution.base == pytest.approx(solution.infimum_base + 1.0)
     assert min(solution.magnitudes) > 0
@@ -73,13 +71,13 @@ def test_cyclic_qnumber_sum_vanishes(p):
     for k in range(1, order):
         if gcd(k, order) != 1:
             continue
-        root = primitive_root(p, k)
+        root = PrimitiveRoot(p, k)
         assert abs(sum(q_number(i, root) for i in range(1, order + 1))) < 1e-12
 
 
 @pytest.mark.parametrize("p,k", [(1, 1), (2, 1), (3, 2), (7, 4), (10, 13)])
 def test_both_recurrence_forms_agree(p, k):
-    solution = solve_ladder_magnitudes(primitive_root(p, k))
+    solution = solve_ladder_magnitudes(PrimitiveRoot(p, k))
     assert consolidated_residual(solution) < 1e-12
     assert three_block_residual(solution) < 1e-12
 
@@ -91,7 +89,7 @@ def test_both_recurrence_forms_agree(p, k):
     st.floats(0.25, 8.0, allow_nan=False),
 )
 def test_magnitudes_affine_in_base(p, off1, off2):
-    root = primitive_root(p)
+    root = PrimitiveRoot(p)
     infimum = ladder_infimum_base(root)
     m1 = solve_ladder_magnitudes(root, infimum + off1).magnitudes
     m2 = solve_ladder_magnitudes(root, infimum + off2).magnitudes
@@ -99,15 +97,8 @@ def test_magnitudes_affine_in_base(p, off1, off2):
         assert (b - a) == pytest.approx(off2 - off1, abs=1e-12)
 
 
-def test_magnitude_accessor_wraps_labels():
-    solution = solve_ladder_magnitudes(primitive_root(2))
-    assert solution.magnitude(0) == solution.magnitude(5)
-    assert solution.magnitude(-1) == solution.magnitude(4)
-    assert solution.magnitude(7) == solution.magnitude(2)
-
-
 def test_build_ladder_k_diagonal_p1():
-    root = primitive_root(1)
+    root = PrimitiveRoot(1)
     rep = build_ladder(root, base=2.0)
     expected = [root.power(1), root.power(2), root.power(3)]
     assert np.array_equal(np.diag(rep.k_mat), np.array(expected))
@@ -116,7 +107,7 @@ def test_build_ladder_k_diagonal_p1():
 
 def test_build_ladder_raising_action_p1():
     # E+ applied to the third basis state gives a_1 times the first
-    rep = build_ladder(primitive_root(1), base=2.0)
+    rep = build_ladder(PrimitiveRoot(1), base=2.0)
     third = np.zeros(3)
     third[2] = 1.0
     out = rep.e_plus @ third
@@ -125,18 +116,18 @@ def test_build_ladder_raising_action_p1():
 
 
 def test_lowering_is_exact_adjoint():
-    rep = build_ladder(primitive_root(3, 4))
+    rep = build_ladder(PrimitiveRoot(3, 4))
     assert np.array_equal(rep.e_minus, rep.e_plus.conj().T)
 
 
 def test_k_adjoint_equals_inverse():
-    rep = build_ladder(primitive_root(5, 2))
+    rep = build_ladder(PrimitiveRoot(5, 2))
     resid = np.linalg.norm(rep.k_mat.conj().T @ rep.k_mat - np.eye(rep.dim))
     assert resid < 1e-12
 
 
 def test_phases_leave_residuals_unchanged():
-    root = primitive_root(2)
+    root = PrimitiveRoot(2)
     plain = build_ladder(root)
     rng = np.random.default_rng(5)
     phased = build_ladder(root, phases=rng.uniform(0, 2 * np.pi, root.order))
@@ -172,7 +163,7 @@ def smallest_intertwining_singular_value(rep_a, rep_b):
 )
 def test_phases_equivalent_exactly_when_sums_agree(phases, equivalent):
     # E+^(2p+1) = (prod a_i) 1 is central, so only sum(phases) mod 2 pi survives
-    root = primitive_root(2)
+    root = PrimitiveRoot(2)
     gap = smallest_intertwining_singular_value(build_ladder(root), build_ladder(root, phases=phases))
     if equivalent:
         assert gap < 1e-12
@@ -182,11 +173,11 @@ def test_phases_equivalent_exactly_when_sums_agree(phases, equivalent):
 
 def test_wrong_phase_length_rejected():
     with pytest.raises(ValueError, match="phases"):
-        build_ladder(primitive_root(1), phases=[0.0, 0.0])
+        build_ladder(PrimitiveRoot(1), phases=[0.0, 0.0])
 
 
 def test_solve_generic_p1_passes_relations():
-    root = primitive_root(1)
+    root = PrimitiveRoot(1)
     rep = solve_generic_coefficients(root, 1.0)
     assert rep.unitary
     report = verify_relations(rep.k_mat, rep.e_plus, rep.e_minus, root)
@@ -197,14 +188,14 @@ def test_solve_generic_p1_passes_relations():
 
 def test_solve_generic_rejects_nonunit_lambda():
     with pytest.raises(ValueError, match="unit modulus"):
-        solve_generic_coefficients(primitive_root(1), 1.5)
+        solve_generic_coefficients(PrimitiveRoot(1), 1.5)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("lam", [float("nan"), float("inf"), 5.0], ids=["nan", "inf", "five"])
 def test_generic_infimum_rejects_non_finite_or_non_unit_lambda(lam):
     with pytest.raises(ValueError, match="finite number of unit modulus"):
-        generic_infimum_base(primitive_root(2), lam)
+        generic_infimum_base(PrimitiveRoot(2), lam)
 
 
 @pytest.mark.parametrize(
@@ -224,14 +215,14 @@ def test_generic_infimum_rejects_non_finite_or_non_unit_lambda(lam):
 def test_non_finite_input_raises_value_error(solve):
     # every comparison with nan is false, so only an explicit check refuses it
     with pytest.raises(ValueError, match="finite"):
-        solve(primitive_root(2))
+        solve(PrimitiveRoot(2))
 
 
 def test_ladder_base_point_holds_base_exactly():
     # the chain runs from |a_{2p+1}|^2, so no closing-sum rounding reaches it
     for p in range(1, 26):
         for k in (k for k in range(1, 2 * p + 1) if gcd(k, 2 * p + 1) == 1):
-            root = primitive_root(p, k)
+            root = PrimitiveRoot(p, k)
             default = solve_ladder_magnitudes(root)
             assert default.magnitudes[-1] == default.base
             base = default.infimum_base + 0.37
@@ -239,7 +230,7 @@ def test_ladder_base_point_holds_base_exactly():
 
 
 def test_solve_generic_base_below_infimum():
-    root = primitive_root(2)
+    root = PrimitiveRoot(2)
     lam = root.power(1)
     infimum = generic_infimum_base(root, lam)
     with pytest.raises(InfeasibleBaseError) as err:
@@ -249,7 +240,7 @@ def test_solve_generic_base_below_infimum():
 
 def test_generic_at_root_power_matches_permuted_ladder():
     # lam = q^s makes the generic solution a relabeling of the ladder one
-    root = primitive_root(2)
+    root = PrimitiveRoot(2)
     rep = build_ladder(root)
     res = intertwiner(rep, 3)
     base = abs(res.generic.g[0]) ** 2
@@ -260,7 +251,7 @@ def test_generic_at_root_power_matches_permuted_ladder():
 
 
 def test_cyclicity_p1_scalar():
-    rep = build_ladder(primitive_root(1), base=2.0)
+    rep = build_ladder(PrimitiveRoot(1), base=2.0)
     report = cyclicity_check(rep)
     # oracle: |a| values are (sqrt(2), 1, sqrt(2)), product 2
     assert report.is_cyclic
@@ -270,7 +261,7 @@ def test_cyclicity_p1_scalar():
 
 
 def test_cyclicity_detects_zeroed_coefficient():
-    root = primitive_root(1)
+    root = PrimitiveRoot(1)
     rep = build_ladder(root, base=2.0)
     a = np.array(rep.a)
     a[1] = 0.0
@@ -286,7 +277,7 @@ def test_cyclicity_detects_zeroed_coefficient():
 
 
 def test_cyclicity_generic_rep():
-    root = primitive_root(2)
+    root = PrimitiveRoot(2)
     rep = solve_generic_coefficients(root, root.power(1))
     report = cyclicity_check(rep)
     assert report.is_cyclic
@@ -298,7 +289,7 @@ def test_cyclicity_generic_rep():
 @pytest.mark.parametrize("p", [86, 118])
 def test_cyclicity_residual_finite_where_the_scalar_is_huge(p):
     # |prod a| reaches 1e305 at p = 118; the residual is scaled before its norm
-    report = cyclicity_check(build_ladder(primitive_root(p, 1)))
+    report = cyclicity_check(build_ladder(PrimitiveRoot(p, 1)))
     assert report.is_cyclic
     assert report.raising_residual < 1e-12
     assert report.lowering_residual < 1e-12
@@ -307,7 +298,7 @@ def test_cyclicity_residual_finite_where_the_scalar_is_huge(p):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cyclicity_gives_no_verdict_when_the_scalar_overflows():
     # from p ~ 119 at k = 1 the coefficient product overflows to nan, and nan != 0
-    report = cyclicity_check(build_ladder(primitive_root(150, 1)))
+    report = cyclicity_check(build_ladder(PrimitiveRoot(150, 1)))
     assert not np.isfinite(report.epow_scalar)
     assert report.is_cyclic is False
 
@@ -315,7 +306,7 @@ def test_cyclicity_gives_no_verdict_when_the_scalar_overflows():
 @pytest.mark.parametrize("p, k", [(1000, 1000), (1000, 1001), (2700, 1), (10_000, 7)])
 def test_magnitude_cross_checks_scale_with_the_largest_magnitude(p, k):
     # |a_i|^2 reaches 4e5 near q = -1 at p = 1000; an absolute 1e-10 bound failed there
-    solution = solve_ladder_magnitudes(primitive_root(p, k))
+    solution = solve_ladder_magnitudes(PrimitiveRoot(p, k))
     largest = max(solution.magnitudes)
     assert largest > 1e5
     assert three_block_residual(solution) <= 1e-14 * largest
@@ -342,7 +333,7 @@ large_p_labels = st.integers(1, 1000).flatmap(
 def test_closed_form_ladder_chain_matches_the_cumulative_sum(p_and_k):
     p, drawn = p_and_k
     for k in (1, p, p + 1, drawn):  # q nearest 1, nearest -1 (twice), then the draw
-        root = primitive_root(p, k)
+        root = PrimitiveRoot(p, k)
         solution = solve_ladder_magnitudes(root)
         sums, infimum = ladder_chain_oracle(root)
         mags = np.asarray(solution.magnitudes)
@@ -356,7 +347,7 @@ def test_closed_form_ladder_chain_matches_the_cumulative_sum(p_and_k):
 @settings(max_examples=25, deadline=None)
 @given(large_p_labels, st.floats(-math.pi, math.pi), st.integers(0, 2000))
 def test_closed_form_weight_chain_matches_the_cumulative_sum(p_and_k, phi, s):
-    root = primitive_root(*p_and_k)
+    root = PrimitiveRoot(*p_and_k)
     for lam in (complex(math.cos(phi), math.sin(phi)), root.power(s)):  # random phase, then the q^s lattice
         sums, infimum = weight_chain_oracle(root, lam)
         base = infimum + 0.5
@@ -367,15 +358,15 @@ def test_closed_form_weight_chain_matches_the_cumulative_sum(p_and_k, phi, s):
 
 
 def test_ladder_infimum_at_p_ten_thousand():
-    root = primitive_root(10_000, 1)
+    root = PrimitiveRoot(10_000, 1)
     assert ladder_infimum_base(root) == pytest.approx(ladder_infimum_formula(root), rel=1e-12)
 
 
 def test_one_type_for_both_forms():
-    root = primitive_root(3, 2)
+    root = PrimitiveRoot(3, 2)
     ladder = build_ladder(root)
     generic = solve_generic_coefficients(root, root.power(2))
-    assert type(ladder) is type(generic) is CyclicRep is LadderRep is GenericCyclicRep
+    assert type(ladder) is type(generic) is CyclicRep
     assert (ladder.kind, generic.kind) == ("ladder", "generic")
     assert np.array_equal(ladder.f, np.conj(ladder.a)) and ladder.unitary
     assert_bitwise_equal(ladder.e_minus, ladder.e_plus.conj().T.copy())  # -0.0 of the conjugated zeros too
@@ -388,7 +379,7 @@ def test_one_type_for_both_forms():
 
 
 def test_intertwiner_p1_s3():
-    rep = build_ladder(primitive_root(1), base=2.0)
+    rep = build_ladder(PrimitiveRoot(1), base=2.0)
     res = intertwiner(rep, 3)
     assert res.sigma == (3, 1, 2)
     assert res.lam == rep.root.power(3)
@@ -397,7 +388,7 @@ def test_intertwiner_p1_s3():
 
 def test_intertwiner_shift_structure():
     # conjugated raising operator is one lower cyclic shift with a_{sigma(m)-2}
-    rep = build_ladder(primitive_root(2))
+    rep = build_ladder(PrimitiveRoot(2))
     res = intertwiner(rep, 1)
     n = rep.dim
     for m in range(n):
@@ -411,7 +402,7 @@ def test_intertwiner_shift_structure():
 
 @pytest.mark.parametrize("p", [1, 2, 4, 6])
 def test_intertwiner_is_bijection_for_all_s(p):
-    root = primitive_root(p)
+    root = PrimitiveRoot(p)
     rep = build_ladder(root)
     order = root.order
     for s in range(order):
@@ -422,14 +413,14 @@ def test_intertwiner_is_bijection_for_all_s(p):
 
 
 def test_rep_json_roundtrip_bit_identical():
-    ladder = build_ladder(primitive_root(2, 3))
+    ladder = build_ladder(PrimitiveRoot(2, 3))
     payload = json.loads(json.dumps(ladder.to_json()))
     back = rep_from_json(payload)
     assert np.array_equal(back.a, ladder.a)
     for name in ("k_mat", "e_plus", "e_minus"):
         assert np.array_equal(getattr(back, name), getattr(ladder, name))
 
-    generic = solve_generic_coefficients(primitive_root(2), primitive_root(2).power(2))
+    generic = solve_generic_coefficients(PrimitiveRoot(2), PrimitiveRoot(2).power(2))
     payload = json.loads(json.dumps(generic.to_json()))
     back = rep_from_json(payload)
     assert back.lam == generic.lam
@@ -448,7 +439,7 @@ def assert_bitwise_equal(got, want):
 @pytest.mark.parametrize("p, k", [(1, 1), (30, 7), (198, 120)])
 def test_ladder_json_roundtrip_keeps_bits_and_signed_zeros(p, k):
     phases = np.random.default_rng(p).uniform(-np.pi, np.pi, 2 * p + 1)
-    ladder = build_ladder(primitive_root(p, k), phases=phases)
+    ladder = build_ladder(PrimitiveRoot(p, k), phases=phases)
     back = rep_from_json(json.loads(json.dumps(ladder.to_json())))
     assert np.signbit(ladder.e_minus.view(float)).any()  # the adjoint holds -0.0 entries
     assert_bitwise_equal(back.a, ladder.a)
@@ -457,7 +448,7 @@ def test_ladder_json_roundtrip_keeps_bits_and_signed_zeros(p, k):
 
 
 def test_generic_json_roundtrip_keeps_bits_and_signed_zeros():
-    root = primitive_root(5, 2)
+    root = PrimitiveRoot(5, 2)
     phases = np.random.default_rng(11).uniform(-np.pi, np.pi, root.order)
     generic = solve_generic_coefficients(root, root.power(3) * 1j, phases=phases)
     back = rep_from_json(json.loads(json.dumps(generic.to_json())))
@@ -467,7 +458,7 @@ def test_generic_json_roundtrip_keeps_bits_and_signed_zeros():
 
 
 def test_rep_json_rebuilds_without_matrices():
-    ladder = build_ladder(primitive_root(1))
+    ladder = build_ladder(PrimitiveRoot(1))
     payload = ladder.to_json()
     del payload["matrices"]
     back = rep_from_json(payload)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hallrep.algebra import primitive_root, verify_relations
+from hallrep.algebra import PrimitiveRoot, verify_relations
 from hallrep.cyclic import (
     build_ladder,
     cyclicity_check,
@@ -115,7 +115,7 @@ def random_monomial(rng, n, zero_rows=0):
 @given(st.integers(1, 7), st.integers(0, 2**32 - 1), st.integers(0, 2))
 def test_random_monomials_match_dense(p, seed, zero_rows):
     rng = np.random.default_rng(seed)
-    root = primitive_root(p)
+    root = PrimitiveRoot(p)
     n = root.order
     k, ep, em = random_monomial(rng, n), random_monomial(rng, n, zero_rows), random_monomial(rng, n, zero_rows)
     assert_relations_match_dense(k, ep, em, root)
@@ -126,7 +126,7 @@ def test_random_monomials_match_dense(p, seed, zero_rows):
 
 def test_zeroed_coefficient_matches_dense():
     # the ladder with one coefficient zeroed: E+ and E- each have an empty row
-    root = primitive_root(3, 2)
+    root = PrimitiveRoot(3, 2)
     a = np.array(build_ladder(root).a)
     a[4] = 0.0
     broken = ladder_from_coefficients(root, a)
@@ -138,7 +138,7 @@ def test_zeroed_coefficient_matches_dense():
 
 def test_on_structure_corruption_matches_dense():
     # one E+ entry rescaled in place: still monomial, but E- is no longer its adjoint
-    root = primitive_root(4, 2)
+    root = PrimitiveRoot(4, 2)
     rep = build_ladder(root)
     ep = np.array(rep.e_plus)
     ep[2, 4] *= 1.5
@@ -150,7 +150,7 @@ def test_on_structure_corruption_matches_dense():
 
 
 def test_singular_monomial_k_raises_like_dense():
-    root = primitive_root(2)
+    root = PrimitiveRoot(2)
     rep = build_ladder(root)
     k = np.array(rep.k_mat)
     k[1, 1] = 0.0
@@ -164,7 +164,7 @@ def test_singular_monomial_k_raises_like_dense():
 def test_two_nonzeros_in_a_row_takes_the_dense_path(zeroed, extra):
     # column-repeated is the payload of test_rep_verify_corrupted_file_exits_one;
     # columns-unique fills row 0's second entry into the column a zeroed row left free
-    root = primitive_root(1)
+    root = PrimitiveRoot(1)
     a = np.array(build_ladder(root).a)
     if zeroed is not None:
         a[zeroed] = 0.0
@@ -189,7 +189,7 @@ def test_two_nonzeros_in_a_row_takes_the_dense_path(zeroed, extra):
 def test_built_reps_match_dense_for_every_coprime_k(p):
     n = 2 * p + 1
     for k in (k for k in range(1, n) if gcd(k, n) == 1):
-        root = primitive_root(p, k)
+        root = PrimitiveRoot(p, k)
         ladder = build_ladder(root)
         generic = solve_generic_coefficients(root, root.power(1))
         intertwined = [assert_intertwiner_matches_dense(ladder, s).generic for s in range(n)]
@@ -205,7 +205,7 @@ def test_large_p_runs_without_dense_products(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "matrix_power", refuse)
     monkeypatch.setattr(np.linalg, "inv", refuse)
-    root = primitive_root(1000, 1301)
+    root = PrimitiveRoot(1000, 1301)
     rep = build_ladder(root)
     assert verify_relations(rep.k_mat, rep.e_plus, rep.e_minus, root).passed
     report = cyclicity_check(rep)
@@ -226,7 +226,7 @@ def random_wrapped_diagonal(rng, n, zeros=0):
 @given(st.integers(1, 7), st.integers(0, 2**32 - 1), st.integers(0, 2))
 def test_random_wrapped_diagonals_match_dense(p, seed, zeros):
     rng = np.random.default_rng(seed)
-    root = primitive_root(p)
+    root = PrimitiveRoot(p)
     n = root.order
     k = random_wrapped_diagonal(rng, n)
     ep, em = random_wrapped_diagonal(rng, n, zeros), random_wrapped_diagonal(rng, n, zeros)
@@ -238,7 +238,7 @@ def test_random_wrapped_diagonals_match_dense(p, seed, zeros):
 
 def test_permuted_basis_ladder_gives_the_dense_result_exactly():
     # swapping two basis vectors keeps K diagonal but spreads E+- over two diagonals
-    root = primitive_root(3, 2)
+    root = PrimitiveRoot(3, 2)
     rep = build_ladder(root)
     perm = np.eye(rep.dim)[[1, 0, *range(2, rep.dim)]]
     k, ep, em = (perm.T @ mat @ perm for mat in (rep.k_mat, rep.e_plus, rep.e_minus))

@@ -359,13 +359,42 @@ def test_gram_mc_evaluates_shared_factors_once_per_block(monkeypatch):
     assert len(prods) == 2
 
 
-def test_hierarchy_r1_scope_errors():
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_jastrow_rows_depend_on_the_batch_length_within_the_stated_limit(n):
+    """Bitwise for any batch length at n = 2, within 1e-15 relative at n >= 3.
+
+    Rows of a whole sampling block against the same rows in batches of 1, 7
+    and 3,392, and laughlin_eval at a sample against the block's row.
+    """
+    coords = sampling.gaussian_block(7, n, 0, sampling.BLOCK)
+
+    def assert_within_limit(got, want):
+        if n == 2:
+            assert np.array_equal(got.view(float), want.view(float))
+        else:
+            assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+    for m in (1, 3, 5):
+        whole = _jastrow_batch(coords, m)
+        for size in (1, 7, 3392):
+            rows = coords[:2048] if size == 1 else coords  # a 1-row batch costs one Python call per row
+            got = np.concatenate([_jastrow_batch(rows[lo : lo + size], m) for lo in range(0, len(rows), size)])
+            assert_within_limit(got, whole[: len(rows)])
+        points = np.array([laughlin_eval(m, z) for z in coords[:64]])
+        gaussian = np.array([math.exp(-0.5 * float(np.sum(np.abs(z) ** 2))) for z in coords[:64]])
+        assert_within_limit(points, whole[:64] * gaussian)
+
+
+def test_hierarchy_r1_scope_errors(monkeypatch):
     spec = HierarchyR1Spec(a0=3, a1=2, b=1, n_electrons=2, n_quasi=2)
     with pytest.raises(ValueError, match="single auxiliary"):
         hierarchy_r1_eval(spec, [0.1, 0.2], 16)
     good = HierarchyR1Spec(a0=3, a1=2, b=1, n_electrons=2)
-    with pytest.raises(ValueError, match="quad_order"):
-        hierarchy_r1_eval(good, [0.1, 0.2], 4)
+    # an order past the ceiling is refused before the rule's order^2 companion matrix is built
+    monkeypatch.setattr(wavefunctions, "_hermite_rule", lambda order: pytest.fail(f"rule built at order {order}"))
+    for order in (4, wavefunctions._MAX_QUAD_ORDER + 1, 10**6):
+        with pytest.raises(ValueError, match="quad_order"):
+            hierarchy_r1_eval(good, [0.1, 0.2], order)
 
 
 def test_spec_validation_and_filling_factors():
