@@ -24,9 +24,9 @@ def main():
     args = parser.parse_args()
 
     specs = [LaughlinSpec(m, args.electrons) for m in args.exponents]
-    exact = gram_matrix(specs, "exact").values().real
+    exact = gram_matrix(specs, "exact").value.real
     mc = gram_matrix(specs, "mc", samples=args.samples, seed=args.seed, workers=args.workers)
-    values, errs = mc.values().real, mc.stderrs()
+    values, errs = mc.value.real, mc.stderr
 
     print(f"Laughlin exponents {args.exponents}, {args.electrons} electrons, "
           f"{args.samples} samples, seed {args.seed}")

@@ -64,16 +64,7 @@ _NAMES = {
         "solve_generic_coefficients",
         "solve_ladder_magnitudes",
     ),
-    "wavefunctions": (
-        "LaughlinSpec",
-        "as_config",
-        "gram_matrix",
-        "hierarchy_r1_eval",
-        "inner_product_exact",
-        "inner_product_mc",
-        "laughlin_eval",
-        "spec_from_json",
-    ),
+    "wavefunctions": ("_value_at", "gram_matrix", "inner_product_exact", "inner_product_mc", "spec_from_json"),
 }
 _OWNER = {name: module for module, names in _NAMES.items() for name in names}
 _GROUP_MODULES = {
@@ -465,12 +456,7 @@ def _cmd_ff_index(args):
 
 
 def _cmd_wf_eval(args):
-    spec = spec_from_json(args.spec)
-    config = as_config(complex_from_pairs(args.config))
-    if isinstance(spec, LaughlinSpec):
-        value = laughlin_eval(spec.m, as_config(config, spec.n_electrons))
-    else:
-        value = hierarchy_r1_eval(spec, config, args.quad_order)
+    value = _value_at(spec_from_json(args.spec), complex_from_pairs(args.config))
     return {"value": complex_to_pairs(value)[0]}, None, None
 
 
@@ -599,7 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmd = sub(wf_sub, "eval", _cmd_wf_eval, "evaluate a wavefunction at one configuration")
     cmd.add_argument("--spec", type=_json_arg, required=True, help='wavefunction spec JSON, e.g. {"variant":"laughlin","m":3,"n_electrons":2}')
     cmd.add_argument("--config", type=_json_arg, required=True, help="coordinates as JSON [[re,im],...]")
-    cmd.add_argument("--quad-order", type=int, default=32, help="per-axis quadrature order, 8 to 256 (hierarchy specs)")
     cmd = sub(wf_sub, "inner", _cmd_wf_inner, "scalar product of two wavefunctions")
     cmd.add_argument("--spec-a", type=_json_arg, required=True, help="first spec JSON")
     cmd.add_argument("--spec-b", type=_json_arg, required=True, help="second spec JSON")

@@ -43,12 +43,12 @@ def gaussian_block(seed: int, n_coords: int, start: int, count: int) -> np.ndarr
     return radius * np.exp(2j * np.pi * u[..., 1])
 
 
-def blocks(n_samples: int, block: int = BLOCK):
-    """Yield (index, start, count) triples covering 0..n_samples-1 in order."""
+def blocks(n_samples: int):
+    """Yield (index, start, count) triples of at most BLOCK samples covering 0..n_samples-1 in order."""
     index = 0
     start = 0
     while start < n_samples:
-        count = min(block, n_samples - start)
+        count = min(BLOCK, n_samples - start)
         yield index, start, count
         index += 1
         start += count

@@ -12,16 +12,17 @@ independent flavors:
   delta_{ab}, all in integer arithmetic;
 * Monte Carlo: importance-sample every coordinate from exp(-|z|^2)/pi using
   the counter-based stream in :mod:`hallrep.sampling`, so results are
-  reproducible and independent of the worker count.  The auxiliary integral
-  is taken in closed form here; :func:`hierarchy_r1_eval` keeps Gauss-Hermite
-  quadrature as its oracle.
+  reproducible and independent of the worker count.
+
+The auxiliary integral is taken in closed form, and a pointwise value is the
+Monte Carlo block evaluator applied to one configuration.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -48,10 +49,6 @@ __all__ = [
 MAX_EXPANSION_DEGREE = 60
 
 MIN_MC_SAMPLES = 1000
-
-# hermgauss builds an order x order companion matrix, and its weights overflow
-# from order 371 on (non-finite from 372); the rule is exact past n_electrons / 2
-_MAX_QUAD_ORDER = 256
 
 
 # ----------------------------------------------------------------------
@@ -83,7 +80,7 @@ class LaughlinSpec:
 @dataclass(frozen=True)
 class HierarchyR1Spec:
     """One-level hierarchy data: electron exponent a0, level exponent a1,
-    coupling sign b, and the auxiliary-coordinate count."""
+    coupling sign b, and the auxiliary-coordinate count, which must be 1."""
 
     a0: int
     a1: int
@@ -100,8 +97,8 @@ class HierarchyR1Spec:
             raise ValueError(f"b must be +1 or -1, got {self.b}")
         if self.n_electrons < 2:
             raise ValueError(f"need at least 2 electrons, got {self.n_electrons}")
-        if self.n_quasi < 1:
-            raise ValueError(f"n_quasi must be at least 1, got {self.n_quasi}")
+        if self.n_quasi != 1:
+            raise ValueError(f"only a single auxiliary coordinate is supported, got {self.n_quasi}")
         self.filling_factor()  # reject labels outside (0, 1] up front
 
     def filling_factor(self) -> FillingFactor:
@@ -143,10 +140,12 @@ def spec_from_json(obj: dict) -> WavefunctionSpec:
 
 
 def as_config(coords, n_expected: int | None = None) -> np.ndarray:
-    """Coerce a coordinate sequence to a 1-d complex array."""
+    """Coerce a coordinate sequence to a 1-d complex array of finite numbers."""
     z = np.asarray(coords, dtype=complex).reshape(-1)
     if n_expected is not None and z.size != n_expected:
         raise ValueError(f"expected {n_expected} coordinates, got {z.size}")
+    if not np.all(np.isfinite(z)):
+        raise ValueError(f"coordinates must be finite, got {z[~np.isfinite(z)][0]}")
     return z
 
 
@@ -170,22 +169,6 @@ def _jastrow_batch(coords: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def laughlin_eval(m: int, config) -> complex:
-    """psi_m at one configuration, Gaussian factor included."""
-    if m < 1 or m % 2 == 0:
-        raise ValueError(f"exponent m must be odd positive, got {m}")
-    z = as_config(config)
-    if z.size < 2:
-        raise ValueError(f"need at least 2 coordinates, got {z.size}")
-    jastrow = _jastrow_batch(z[None, :], m)[0]
-    return complex(jastrow * math.exp(-0.5 * float(np.sum(np.abs(z) ** 2))))
-
-
-@lru_cache(maxsize=None)
-def _hermite_rule(order: int):
-    return np.polynomial.hermite.hermgauss(order)
-
-
 def _auxiliary_decay_rate(a0: int) -> float:
     """Gaussian decay rate |q_1| = 1/a0 of the auxiliary coordinate.
 
@@ -197,50 +180,33 @@ def _auxiliary_decay_rate(a0: int) -> float:
     return 1 / a0
 
 
-def _auxiliary_integral(spec: HierarchyR1Spec, z: np.ndarray, quad_order: int) -> complex:
-    """int d2w e^{-|q1||w|^2} prod_j (w - z_j), conjugated when b = -1.
+def _value_at(spec: WavefunctionSpec, config) -> complex:
+    """The wavefunction at one configuration, Gaussian factor included.
 
-    Tensor Gauss-Hermite on both axes of w; the integrand is polynomial in
-    w, so the rule is exact once 2*quad_order exceeds the electron count.
+    The Monte Carlo block evaluator on a one-row batch.  Finite coordinates
+    whose value is not finite in floating point raise ArithmeticError.
     """
-    rate = _auxiliary_decay_rate(spec.a0)
-    nodes, weights = _hermite_rule(quad_order)
-    scale = 1.0 / math.sqrt(rate)
-    w = scale * (nodes[:, None] + 1j * nodes[None, :]).ravel()
-    w2d = (weights[:, None] * weights[None, :]).ravel() / rate
-    factors = np.prod(w[:, None] - z[None, :], axis=1)
-    out = complex(factors @ w2d)
-    return out.conjugate() if spec.b == -1 else out
+    z = as_config(config, spec.n_electrons)
+    with np.errstate(all="ignore"):
+        value = complex(
+            _gaussian_stripped_values(spec, z[None, :])[0] * math.exp(-0.5 * float(np.sum(np.abs(z) ** 2)))
+        )
+    if not cmath.isfinite(value):
+        raise ArithmeticError(f"the wavefunction value at these coordinates is not finite in floating point, got {value}")
+    return value
 
 
-def hierarchy_r1_eval(spec: HierarchyR1Spec, config, quad_order: int = 32) -> complex:
-    """Wavefunction value with the single auxiliary coordinate integrated out.
+def laughlin_eval(m: int, config) -> complex:
+    """psi_m at one configuration, Gaussian factor included."""
+    z = as_config(config)
+    return _value_at(LaughlinSpec(m, z.size), z)
 
-    quad_order is the per-axis Gauss-Hermite order, 8 to 256, exposed so
-    convergence under doubling is testable.  Only n_quasi = 1 is supported;
-    nested auxiliary integrals are out of scope.
 
-    As an oracle the quadrature has a limit: where prod_j z_j is small, its
-    node values cancel to the much smaller constant term, and the error
-    relative to |value| reaches 1.1e-11 at a0 = 7, n_electrons = 4.  Past
-    n_electrons = 3, compare it pointwise with the closed form at a looser
-    tolerance than 1e-12.
-    """
+def hierarchy_r1_eval(spec: HierarchyR1Spec, config) -> complex:
+    """Wavefunction value with the single auxiliary coordinate integrated out."""
     if not isinstance(spec, HierarchyR1Spec):
         raise ValueError(f"expected a HierarchyR1Spec, got {type(spec).__name__}")
-    if spec.n_quasi != 1:
-        raise ValueError(f"only a single auxiliary coordinate is supported, got {spec.n_quasi}")
-    if quad_order < 8:
-        raise ValueError(f"quad_order must be at least 8, got {quad_order}")
-    if quad_order > _MAX_QUAD_ORDER:
-        raise ValueError(f"quad_order must be at most {_MAX_QUAD_ORDER}, got {quad_order}")
-    z = as_config(config, spec.n_electrons)
-    value = (
-        _jastrow_batch(z[None, :], spec.a0)[0]
-        * _auxiliary_integral(spec, z, quad_order)
-        * math.exp(-0.5 * float(np.sum(np.abs(z) ** 2)))
-    )
-    return complex(value)
+    return _value_at(spec, config)
 
 
 def _gaussian_stripped_values(spec: WavefunctionSpec, coords: np.ndarray, shared: dict | None = None) -> np.ndarray:
@@ -248,7 +214,8 @@ def _gaussian_stripped_values(spec: WavefunctionSpec, coords: np.ndarray, shared
 
     The rotationally symmetric weight keeps only the constant term of
     prod_j (w - z_j), so the auxiliary integral is (pi/rate) prod_j (-z_j),
-    conjugated when b = -1; hierarchy_r1_eval keeps quadrature as the oracle.
+    conjugated when b = -1; the tests keep Gauss-Hermite quadrature as the
+    oracle.
 
     shared memoizes what depends on coords alone, the difference product per
     exponent and prod_j (-z_j), so specs evaluated on one batch with one dict
@@ -258,8 +225,6 @@ def _gaussian_stripped_values(spec: WavefunctionSpec, coords: np.ndarray, shared
     if shared is None:
         shared = {}
     laughlin = isinstance(spec, LaughlinSpec)
-    if not laughlin and spec.n_quasi != 1:
-        raise ValueError(f"only a single auxiliary coordinate is supported, got {spec.n_quasi}")
     exponent = spec.m if laughlin else spec.a0
     if exponent not in shared:
         shared[exponent] = _jastrow_batch(coords, exponent)

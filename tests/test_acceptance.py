@@ -33,10 +33,10 @@ from hallrep.hierarchy import (
 from hallrep.wavefunctions import (
     LaughlinSpec,
     gram_matrix,
-    hierarchy_r1_eval,
     HierarchyR1Spec,
     inner_product_exact,
 )
+from quadrature_oracle import hierarchy_r1_quadrature
 from recurrence_oracles import consolidated_residual
 
 
@@ -335,8 +335,8 @@ def test_criterion_11_quadrature_convergence():
     for b in (1, -1):
         spec = HierarchyR1Spec(a0=3, a1=2 * b, b=b, n_electrons=2)
         for config in configs:
-            v32 = hierarchy_r1_eval(spec, config, quad_order=32)
-            v64 = hierarchy_r1_eval(spec, config, quad_order=64)
+            v32 = hierarchy_r1_quadrature(spec, config, quad_order=32)
+            v64 = hierarchy_r1_quadrature(spec, config, quad_order=64)
             worst = max(worst, abs(v64 - v32) / abs(v64))
     ok = worst < 1e-8
     report(

@@ -267,23 +267,37 @@ def test_wf_eval_laughlin_and_hierarchy(capsys):
     report = run_json(capsys, "wf", "eval", "--spec", spec, "--config", config)
     assert report["result"]["value"][0] == pytest.approx(math.exp(-0.5))
 
+    # the auxiliary integral 3*pi*prod_j (-z_j) vanishes exactly where a coordinate is 0
     spec = json.dumps({"variant": "hierarchy_r1", "a0": 3, "a1": 2, "b": 1, "n_electrons": 2})
-    report = run_json(capsys, "wf", "eval", "--spec", spec, "--config", config, "--quad-order", "16")
-    assert report["result"]["value"] != [0.0, 0.0]
+    assert run_json(capsys, "wf", "eval", "--spec", spec, "--config", config)["result"]["value"] == [0.0, 0.0]
+    report = run_json(capsys, "wf", "eval", "--spec", spec, "--config", "[[1, 0], [0, 1]]")
+    want = 3 * math.pi * (1 - 1j) ** 3 * 1j * math.exp(-1)
+    assert complex(*report["result"]["value"]) == pytest.approx(want, rel=1e-14)
 
 
-@pytest.mark.parametrize("order", [372, 10**6])
-def test_wf_eval_quad_order_past_the_ceiling_is_usage_error(capsys, monkeypatch, order):
-    from hallrep import wavefunctions
+EVAL_SPECS = {
+    "laughlin": json.dumps({"variant": "laughlin", "m": 3, "n_electrons": 2}),
+    "hierarchy": json.dumps({"variant": "hierarchy_r1", "a0": 3, "a1": 2, "b": 1, "n_electrons": 2}),
+}
 
-    monkeypatch.setattr(wavefunctions, "_hermite_rule", lambda order: pytest.fail(f"rule built at order {order}"))
-    spec = json.dumps({"variant": "hierarchy_r1", "a0": 3, "a1": 2, "b": 1, "n_electrons": 2})
-    config = json.dumps([[1.0, 0.0], [0.0, 0.0]])
-    code, out, err = run(capsys, "wf", "eval", "--spec", spec, "--config", config, "--quad-order", str(order))
+
+@pytest.mark.parametrize("kind", list(EVAL_SPECS))
+@pytest.mark.parametrize("config", ["[[1e400, 0], [0, 0]]", "[[NaN, 0], [0, 0]]", "[[0, 0], [0, -Infinity]]"])
+def test_wf_eval_non_finite_coordinate_is_usage_error(capsys, kind, config):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "wf", "eval", "--spec", EVAL_SPECS[kind], "--config", config)
     assert code == 2 and out == ""
-    assert err == f"error: quad_order must be at most {wavefunctions._MAX_QUAD_ORDER}, got {order}\n"
-    _, help_text, _ = run(capsys, "wf", "eval", "--help")
-    assert f"8 to {wavefunctions._MAX_QUAD_ORDER}" in " ".join(help_text.split())
+    assert err.startswith("error: coordinates must be finite") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind", list(EVAL_SPECS))
+def test_wf_eval_overflow_at_finite_coordinates_is_failure(capsys, kind):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "wf", "eval", "--spec", EVAL_SPECS[kind], "--config", "[[1e200, 0], [0, 0]]")
+    assert code == 1 and out == ""
+    assert err.startswith("failure: the wavefunction value") and err.count("\n") == 1
 
 
 def test_wf_gram_csv_format(capsys):
@@ -419,9 +433,13 @@ def test_wf_gram_mc_hierarchy_is_hermitian(capsys):
 
 
 def test_wf_gram_rejects_quad_order(capsys):
-    code, _, _ = run(capsys, "wf", "gram", "--specs", HIERARCHY_SPECS,
-                     "--method", "mc", "--quad-order", "16")
-    assert code == 2
+    eval_argv = ["wf", "eval", "--config", "[[1, 0], [0, 0]]", "--quad-order", "16", "--spec"]
+    for argv in (
+        ["wf", "gram", "--specs", HIERARCHY_SPECS, "--method", "mc", "--quad-order", "16"],
+        *(eval_argv + [spec] for spec in EVAL_SPECS.values()),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "unrecognized arguments: --quad-order" in err
 
 
 def test_help_exits_zero_and_lists_defaults(capsys):

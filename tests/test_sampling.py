@@ -5,8 +5,8 @@ from hallrep import sampling
 
 
 def test_blocks_cover_range_in_order():
-    spans = list(sampling.blocks(100_001, block=2**15))
-    assert spans[0] == (0, 0, 2**15)
+    spans = list(sampling.blocks(100_001))
+    assert spans[0] == (0, 0, sampling.BLOCK)
     assert spans[-1][1] + spans[-1][2] == 100_001
     assert [idx for idx, _, _ in spans] == list(range(len(spans)))
 
@@ -15,8 +15,8 @@ def test_blocks_cover_range_in_order():
 def test_block_concatenation_matches_monolithic(n_coords):
     whole = sampling.gaussian_block(42, n_coords, 0, 1000)
     pieces = [
-        sampling.gaussian_block(42, n_coords, start, count)
-        for _, start, count in sampling.blocks(1000, block=256)
+        sampling.gaussian_block(42, n_coords, start, min(256, 1000 - start))
+        for start in range(0, 1000, 256)
     ]
     assert np.array_equal(np.concatenate(pieces), whole)
 

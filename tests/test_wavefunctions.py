@@ -26,6 +26,7 @@ from hallrep.wavefunctions import (
     _jastrow_batch,
 )
 from hallrep.hierarchy import FillingFactor, PositiveCF, blok_wen_sequence
+from quadrature_oracle import hierarchy_r1_quadrature
 
 
 # ----------------------------------------------------------------------
@@ -274,30 +275,31 @@ def hierarchy_closed_form(spec, config):
 def test_hierarchy_r1_matches_moment_oracle(b):
     spec = HierarchyR1Spec(a0=3, a1=2, b=b, n_electrons=2)
     config = [0.4 + 0.3j, -0.8 - 0.1j]
-    value = hierarchy_r1_eval(spec, config, quad_order=24)
-    assert value == pytest.approx(hierarchy_closed_form(spec, config), rel=1e-12)
+    want = hierarchy_closed_form(spec, config)
+    assert hierarchy_r1_eval(spec, config) == pytest.approx(want, rel=1e-12)
+    assert hierarchy_r1_quadrature(spec, config, quad_order=24) == pytest.approx(want, rel=1e-12)
 
 
 def test_hierarchy_r1_quadrature_convergence():
     spec = HierarchyR1Spec(a0=3, a1=2, b=1, n_electrons=2)
     config = [0.3 + 0.1j, -0.5 + 0.4j]
-    v32 = hierarchy_r1_eval(spec, config, quad_order=32)
-    v64 = hierarchy_r1_eval(spec, config, quad_order=64)
+    v32 = hierarchy_r1_quadrature(spec, config, quad_order=32)
+    v64 = hierarchy_r1_quadrature(spec, config, quad_order=64)
     assert abs(v64 - v32) / abs(v64) < 1e-8
 
 
 def test_hierarchy_r1_coincident_and_antisymmetric():
     spec = HierarchyR1Spec(a0=3, a1=-2, b=-1, n_electrons=2)
-    assert hierarchy_r1_eval(spec, [0.5, 0.5], 16) == 0
-    forward = hierarchy_r1_eval(spec, [0.5 + 0.1j, -0.2j], 16)
-    backward = hierarchy_r1_eval(spec, [-0.2j, 0.5 + 0.1j], 16)
+    assert hierarchy_r1_eval(spec, [0.5, 0.5]) == 0
+    forward = hierarchy_r1_eval(spec, [0.5 + 0.1j, -0.2j])
+    backward = hierarchy_r1_eval(spec, [-0.2j, 0.5 + 0.1j])
     assert backward == pytest.approx(-forward, rel=1e-12)
 
 
 @pytest.mark.parametrize("a0", [1, 3, 5, 7])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_mc_closed_form_matches_quadrature(a0, n):
-    """The Monte Carlo path's closed-form values against the quadrature oracle.
+    """The Monte Carlo path's closed-form values, in a block and pointwise, against the quadrature oracle.
 
     The error is measured against pi*a0*|J| prod_j (|z_j| + sqrt(a0)), the
     size of the integrand the quadrature sums: where prod_j z_j is small the
@@ -312,9 +314,11 @@ def test_mc_closed_form_matches_quadrature(a0, n):
     )
     for b in (1, -1):
         spec = HierarchyR1Spec(a0=a0, a1=-2, b=b, n_electrons=n)
-        fast = _gaussian_stripped_values(spec, coords) * gauss
-        slow = np.array([hierarchy_r1_eval(spec, z, quad_order=32) for z in coords])
-        assert np.all(np.abs(fast - slow) <= 1e-12 * scale)
+        slow = np.array([hierarchy_r1_quadrature(spec, z, quad_order=32) for z in coords])
+        block = _gaussian_stripped_values(spec, coords) * gauss
+        pointwise = np.array([hierarchy_r1_eval(spec, z) for z in coords])
+        for fast in (block, pointwise):
+            assert np.all(np.abs(fast - slow) <= 1e-12 * scale)
 
 
 def test_auxiliary_decay_rate_is_the_first_recursion_step():
@@ -364,7 +368,8 @@ def test_jastrow_rows_depend_on_the_batch_length_within_the_stated_limit(n):
     """Bitwise for any batch length at n = 2, within 1e-15 relative at n >= 3.
 
     Rows of a whole sampling block against the same rows in batches of 1, 7
-    and 3,392, and laughlin_eval at a sample against the block's row.
+    and 3,392, and laughlin_eval and hierarchy_r1_eval at a sample against
+    the block's row.
     """
     coords = sampling.gaussian_block(7, n, 0, sampling.BLOCK)
 
@@ -374,6 +379,7 @@ def test_jastrow_rows_depend_on_the_batch_length_within_the_stated_limit(n):
         else:
             assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
 
+    gaussian = np.array([math.exp(-0.5 * float(np.sum(np.abs(z) ** 2))) for z in coords[:64]])
     for m in (1, 3, 5):
         whole = _jastrow_batch(coords, m)
         for size in (1, 7, 3392):
@@ -381,20 +387,17 @@ def test_jastrow_rows_depend_on_the_batch_length_within_the_stated_limit(n):
             got = np.concatenate([_jastrow_batch(rows[lo : lo + size], m) for lo in range(0, len(rows), size)])
             assert_within_limit(got, whole[: len(rows)])
         points = np.array([laughlin_eval(m, z) for z in coords[:64]])
-        gaussian = np.array([math.exp(-0.5 * float(np.sum(np.abs(z) ** 2))) for z in coords[:64]])
         assert_within_limit(points, whole[:64] * gaussian)
+    for spec in (HierarchyR1Spec(3, 2, 1, n), HierarchyR1Spec(3, -2, -1, n), HierarchyR1Spec(5, 2, 1, n)):
+        whole = _gaussian_stripped_values(spec, coords[:64])
+        points = np.array([hierarchy_r1_eval(spec, z) for z in coords[:64]])
+        assert_within_limit(points, whole * gaussian)
 
 
-def test_hierarchy_r1_scope_errors(monkeypatch):
-    spec = HierarchyR1Spec(a0=3, a1=2, b=1, n_electrons=2, n_quasi=2)
-    with pytest.raises(ValueError, match="single auxiliary"):
-        hierarchy_r1_eval(spec, [0.1, 0.2], 16)
-    good = HierarchyR1Spec(a0=3, a1=2, b=1, n_electrons=2)
-    # an order past the ceiling is refused before the rule's order^2 companion matrix is built
-    monkeypatch.setattr(wavefunctions, "_hermite_rule", lambda order: pytest.fail(f"rule built at order {order}"))
-    for order in (4, wavefunctions._MAX_QUAD_ORDER + 1, 10**6):
-        with pytest.raises(ValueError, match="quad_order"):
-            hierarchy_r1_eval(good, [0.1, 0.2], order)
+def test_hierarchy_r1_scope_errors():
+    for n_quasi in (0, 2):
+        with pytest.raises(ValueError, match=f"single auxiliary coordinate is supported, got {n_quasi}"):
+            HierarchyR1Spec(a0=3, a1=2, b=1, n_electrons=2, n_quasi=n_quasi)
 
 
 def test_spec_validation_and_filling_factors():
