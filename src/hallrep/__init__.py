@@ -31,7 +31,6 @@ _EXPORTS = {
         "generic_infimum_base",
         "intertwiner",
         "ladder_from_coefficients",
-        "ladder_infimum_base",
         "rep_from_json",
         "solve_generic_coefficients",
         "solve_ladder_magnitudes",

@@ -357,20 +357,16 @@ def complex_to_pairs(values) -> list:
 # json's text of a zero entry's [re, im] and the separator after it, indexed by
 # 2 * signbit(re) + signbit(im); index 4 holds the place of a nonzero entry
 _ZERO_PAIR_TEXT = np.array(["[0.0, 0.0], ", "[0.0, -0.0], ", "[-0.0, 0.0], ", "[-0.0, -0.0], ", ""], dtype=object)
-# the text of a run of n < _SHORT_RUN entries with one of those texts, at [code * _SHORT_RUN + n]:
-# one string multiplication per run would cost a text of mixed signs twice a lookup's time
-_SHORT_RUN = 16
-_SHORT_RUN_TEXT = np.array([text * n for text in _ZERO_PAIR_TEXT for n in range(_SHORT_RUN)], dtype=object)
 
 
 def _pairs_text(values) -> str:
     """The text of json.dumps(complex_to_pairs(values)), written without the pair lists.
 
     Zero entries, all but O(n) of a cyclic representation's n^2, come in runs
-    of one text (its signs).  A run is one piece of the join: a short one is
-    looked up, a long one is one string multiplication, so mixed signs cost
-    one lookup per run and a uniform run the copy of its bytes.  Only nonzero
-    entries go through float repr.  A non-finite entry raises ValueError, as
+    of one text (its signs); every file the CLI writes gives each matrix's
+    zeros one sign pattern.  A run is one piece of the join, one string
+    multiplication, so it costs the copy of its bytes.  Only nonzero entries
+    go through float repr.  A non-finite entry raises ValueError, as
     json.dumps(..., allow_nan=False) does.
     """
     flat = np.ascontiguousarray(values, dtype=complex).reshape(-1)
@@ -384,9 +380,7 @@ def _pairs_text(values) -> str:
     codes = np.where(nonzero, 4, 2 * signs[:, 0] + signs[:, 1])
     starts = np.flatnonzero(np.concatenate(([True], (codes[1:] != codes[:-1]) | nonzero[1:])))
     codes, lengths = codes[starts], np.diff(starts, append=flat.size)
-    parts = _SHORT_RUN_TEXT[codes * _SHORT_RUN + np.minimum(lengths, _SHORT_RUN - 1)]
-    long = lengths >= _SHORT_RUN
-    parts[long] = _ZERO_PAIR_TEXT[codes[long]] * lengths[long]
+    parts = _ZERO_PAIR_TEXT[codes] * lengths
     parts[nonzero[starts]] = [f"[{re!r}, {im!r}], " for re, im in pairs[nonzero].tolist()]
     parts = parts.tolist()
     parts[-1] = parts[-1][:-2] + "]"  # the last entry's separator closes the list
@@ -457,19 +451,6 @@ class _PairText:
         if not self.text.startswith(certificate, start):
             raise ValueError("not the canonical text of a list of [re, im] pairs")
         return out, start + len(certificate)
-
-
-def _pairs_from_text(span: str) -> np.ndarray:
-    """The (m, 2) float array of a [[re, im], ...] span, certified by re-encoding it.
-
-    The inverse of _pairs_text: the result is returned only when _pairs_text
-    of it equals span byte for byte, and any other span raises ValueError.
-    See _PairText for how the span is read.
-    """
-    out, end = _PairText(span).read(0)
-    if end != len(span):
-        raise ValueError("text follows the list of [re, im] pairs")
-    return out
 
 
 def complex_from_pairs(pairs) -> np.ndarray:

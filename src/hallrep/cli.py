@@ -636,7 +636,7 @@ def _run(argv) -> int:
     _bind(args.group)
     try:
         result, passed, csv_text = args.handler(args)
-    except (DecompositionError, ArithmeticError) as exc:  # no expansion, a value too long to write, or a failed cross-check
+    except (DecompositionError, ArithmeticError, MemoryError) as exc:  # no expansion, a value too long to write, a refused allocation, or a failed cross-check
         print(f"failure: {exc}", file=sys.stderr)
         return 1
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:

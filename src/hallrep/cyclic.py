@@ -15,7 +15,8 @@ lam = e^(i phi), point m of the weight chain holds
 |g_m|^2 = |g_0|^2 - [m] sin(phi - (m+1) theta) / sin(theta), and the ladder
 chain is the case lam = 1, |a_{2t}|^2 = |a_{2p+1}|^2 + [t][t+1].  Every sine
 is taken on an exactly reduced multiple of theta, so the chain closes
-exactly; the ladder infimum is 1/(4 cos^2(theta/2)), reached at t = p.
+exactly; the ladder infimum is 1/(4 cos^2(theta/2)), reached at t = p
+(generic_infimum_base(root, 1), or solve_ladder_magnitudes' infimum_base).
 A permutation relabeling (the intertwiner) carries one form into the other.
 Arrays store ladder label i at slot i-1 and weight label m at slot m; all
 label arithmetic wraps modulo 2p+1.
@@ -54,14 +55,11 @@ __all__ = [
     "generic_infimum_base",
     "intertwiner",
     "ladder_from_coefficients",
-    "ladder_infimum_base",
     "rep_from_json",
     "solve_generic_coefficients",
     "solve_ladder_magnitudes",
     "three_block_residual",
 ]
-
-_BUILD_TOL = 1e-12
 
 
 class InfeasibleBaseError(ValueError):
@@ -135,11 +133,6 @@ class MagnitudeSolution:
     infimum_base: float
 
 
-def ladder_infimum_base(root: PrimitiveRoot) -> float:
-    """Smallest |a_{2p+1}|^2 keeping all squared magnitudes positive, 1/(4 cos^2(theta/2))."""
-    return _chain(root, 1.0)[1]
-
-
 def solve_ladder_magnitudes(
     root: PrimitiveRoot, base: float | None = None
 ) -> MagnitudeSolution:
@@ -199,9 +192,9 @@ class CyclicRep:
     and lowering holds conj(a_i).
     kind "generic": K v_m = lam q^(-2m) v_m, E+ v_m = g_m v_{m+1},
     E- v_m = f_m v_{m-1}; raising holds g and lowering f, by weight m.
-    lam is K's eigenvalue on the first basis vector (q in the ladder form);
-    unitary says the coefficients pair as a unitary representation's do
-    (f_{m+1} = conj(g_m); the ladder form pairs by construction).
+    lam is K's eigenvalue on the first basis vector (q in the ladder form).
+    Whether the matrices pair as a unitary representation's do (E-^dagger =
+    E+) is measured by verify_relations' adjoint residual.
     """
 
     root: PrimitiveRoot
@@ -212,7 +205,6 @@ class CyclicRep:
     k_mat: np.ndarray
     e_plus: np.ndarray
     e_minus: np.ndarray
-    unitary: bool
 
     @property
     def p(self) -> int:
@@ -221,17 +213,6 @@ class CyclicRep:
     @property
     def dim(self) -> int:
         return self.root.order
-
-    @property
-    def a(self) -> np.ndarray:
-        """The raising coefficients, a in the ladder form and g in the weight basis."""
-        return self.raising
-
-    g = a
-
-    @property
-    def f(self) -> np.ndarray:
-        return self.lowering
 
     def rebuild(self) -> CyclicRep:
         """The same coefficients with the matrices realized afresh."""
@@ -285,28 +266,19 @@ def _assemble(root: PrimitiveRoot, kind: str, raising, lowering=None, lam=None, 
         j = np.arange(n)
         e_plus = np.zeros((n, n), dtype=complex)
         if kind == "ladder":
-            k_diag = np.array([root.power(i) for i in range(1, n + 1)])
-            k_mat = np.diag(k_diag)
+            k_mat = np.diag([root.power(i) for i in range(1, n + 1)])
             e_plus[j, (j + 2) % n] = raising
             e_minus = e_plus.conj().T.copy()
-            # diagonal unit-modulus K: adjoint and inverse must agree
-            adjoint_residual = frobenius(np.conj(k_diag) - 1.0 / k_diag)
-            if adjoint_residual > _BUILD_TOL:
-                raise ArithmeticError(f"K adjoint-inverse residual {adjoint_residual}")
         else:
             k_mat = np.diag([lam * root.power(-2 * m) for m in range(n)])
             e_plus[(j + 1) % n, j] = raising
             e_minus = np.zeros((n, n), dtype=complex)
             e_minus[(j - 1) % n, j] = lowering
-    unitary = kind == "ladder" or (
-        abs(abs(lam) - 1.0) <= 1e-12
-        and bool(np.allclose(lowering, np.conj(np.roll(raising, 1)), rtol=0.0, atol=_BUILD_TOL))
-    )
     for arr in (raising, lowering, k_mat, e_plus, e_minus):
         arr.setflags(write=False)
     return CyclicRep(
         root=root, kind=kind, lam=lam, raising=raising, lowering=lowering,
-        k_mat=k_mat, e_plus=e_plus, e_minus=e_minus, unitary=unitary,
+        k_mat=k_mat, e_plus=e_plus, e_minus=e_minus,
     )
 
 
@@ -447,7 +419,7 @@ def intertwiner(rep: CyclicRep, s: int) -> IntertwinerResult:
     slot = (s - 2 * m - 1) % n  # sigma(m) - 1
     sigma = tuple((slot + 1).tolist())
     lam = rep.root.power(s)
-    generic = generic_from_coefficients(rep.root, lam, rep.a[np.roll(slot, -1)], np.conj(rep.a[slot]))
+    generic = generic_from_coefficients(rep.root, lam, rep.raising[np.roll(slot, -1)], np.conj(rep.raising[slot]))
 
     # conjugating by the relabeling matrix (its one 1 of row slot[m] in column m)
     # reorders rows and columns alike: (P^T M P)[a, b] = M[slot[a], slot[b]]

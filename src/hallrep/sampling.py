@@ -44,11 +44,6 @@ def gaussian_block(seed: int, n_coords: int, start: int, count: int) -> np.ndarr
 
 
 def blocks(n_samples: int):
-    """Yield (index, start, count) triples of at most BLOCK samples covering 0..n_samples-1 in order."""
-    index = 0
-    start = 0
-    while start < n_samples:
-        count = min(BLOCK, n_samples - start)
-        yield index, start, count
-        index += 1
-        start += count
+    """Yield (start, count) pairs of at most BLOCK samples covering 0..n_samples-1 in order."""
+    for start in range(0, n_samples, BLOCK):
+        yield start, min(BLOCK, n_samples - start)

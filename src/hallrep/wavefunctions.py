@@ -47,6 +47,9 @@ __all__ = [
 ]
 
 MAX_EXPANSION_DEGREE = 60
+# the largest monomial table jastrow_monomials holds: m = 3 at n = 6 peaks at 279,312 entries
+# (2.5 s), while m = 1 has n! terms and peaks at 1,112,400 at n = 9 (20 s, 370 MB)
+_MAX_EXPANSION_TERMS = 300_000
 
 MIN_MC_SAMPLES = 1000
 
@@ -180,20 +183,45 @@ def _auxiliary_decay_rate(a0: int) -> float:
     return 1 / a0
 
 
+# log(2^-1075), half the smallest subnormal: a magnitude below its exp rounds to 0.0
+_LOG_ROUNDS_TO_ZERO = -1075 * math.log(2)
+
+
 def _value_at(spec: WavefunctionSpec, config) -> complex:
     """The wavefunction at one configuration, Gaussian factor included.
 
-    The Monte Carlo block evaluator on a one-row batch.  Finite coordinates
-    whose value is not finite in floating point raise ArithmeticError.
+    The Monte Carlo block evaluator on a one-row batch, times the Gaussian
+    factor.  Where that product is not finite (a factor overflowed, or an
+    overflowed factor met an underflowed one), log|psi| is summed from the
+    logs of the same factors, and a value that rounds to zero is 0j.  Any
+    other non-finite product raises ArithmeticError: a value too large for a
+    float, and also a representable one whose factors overflow on the way
+    (m = 1001 at |z| near 65, say).
     """
     z = as_config(config, spec.n_electrons)
     with np.errstate(all="ignore"):
-        value = complex(
-            _gaussian_stripped_values(spec, z[None, :])[0] * math.exp(-0.5 * float(np.sum(np.abs(z) ** 2)))
-        )
-    if not cmath.isfinite(value):
-        raise ArithmeticError(f"the wavefunction value at these coordinates is not finite in floating point, got {value}")
-    return value
+        half_norm = 0.5 * float(np.sum(np.abs(z) ** 2))
+        value = complex(_gaussian_stripped_values(spec, z[None, :])[0] * math.exp(-half_norm))
+        if cmath.isfinite(value):
+            return value
+        # an overflowed |z|^2 sum leaves exp(-half_norm) below any product of the factors
+        if math.isinf(half_norm) or _log_abs_stripped(spec, z) - half_norm < _LOG_ROUNDS_TO_ZERO:
+            return 0j
+    raise ArithmeticError(f"the wavefunction value at these coordinates is not finite in floating point, got {value}")
+
+
+def _log_abs_stripped(spec: WavefunctionSpec, z: np.ndarray) -> float:
+    """log|psi| at one configuration without the Gaussian factor, -inf where psi is 0.
+
+    exponent * sum_{i<j} log|z_i - z_j|, plus log(pi a0) + sum_j log|z_j| for
+    the auxiliary integral; finite |z|^2 keeps every term from overflowing.
+    """
+    i, j = np.triu_indices(z.size, 1)
+    laughlin = isinstance(spec, LaughlinSpec)
+    out = (spec.m if laughlin else spec.a0) * float(np.sum(np.log(np.abs(z[i] - z[j]))))
+    if not laughlin:
+        out += math.log(math.pi / _auxiliary_decay_rate(spec.a0)) + float(np.sum(np.log(np.abs(z))))
+    return out
 
 
 def laughlin_eval(m: int, config) -> complex:
@@ -280,7 +308,9 @@ def jastrow_monomials(m: int, n: int) -> dict[tuple[int, ...], int]:
 
     Keys are exponent tuples over the n coordinates, values exact integers,
     built by convolving one binomial expansion per pair into the running
-    table.
+    table.  A table that passes 300,000 entries raises ValueError, checked
+    after each source term, so at most two tables of about that size are
+    ever held.
     """
     terms: dict[tuple[int, ...], int] = {(0,) * n: 1}
     for i in range(n):
@@ -294,6 +324,11 @@ def jastrow_monomials(m: int, n: int) -> dict[tuple[int, ...], int]:
                     key[j] += m - t
                     key = tuple(key)
                     expanded[key] = expanded.get(key, 0) + c
+                if len(expanded) > _MAX_EXPANSION_TERMS:
+                    raise ValueError(
+                        f"the expansion of prod (z_i - z_j)^{m} over {n} coordinates passes "
+                        f"the bound of {_MAX_EXPANSION_TERMS} terms"
+                    )
             terms = {k: v for k, v in expanded.items() if v}
     return terms
 
@@ -365,7 +400,7 @@ def _mc_estimates(specs, pairs, samples, seed, workers):
     block_list = list(sampling.blocks(samples))
 
     def block_stats(block):
-        _, start, count = block
+        start, count = block
         coords = sampling.gaussian_block(seed, n, start, count)
         shared = {}
         values = [_gaussian_stripped_values(spec, coords, shared) for spec in specs]

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hallrep.algebra import (
     PrimitiveRoot,
     _matrix_from_json,
-    _pairs_from_text,
+    _PairText,
     _pairs_text,
     complex_from_pairs,
     complex_to_pairs,
@@ -282,10 +282,18 @@ def test_pairs_text_is_the_default_encoders_text(name):
     assert _pairs_text(values) == json.dumps(complex_to_pairs(values))
 
 
+def pairs_from_text(span):
+    """The certified (m, 2) array of span's one pair list; text after the list raises ValueError."""
+    out, end = _PairText(span).read(0)
+    if end != len(span):
+        raise ValueError("text follows the list of [re, im] pairs")
+    return out
+
+
 @pytest.mark.parametrize("name", list(pairs_text_cases()))
 def test_pairs_from_text_inverts_pairs_text_bit_for_bit(name):
     text = _pairs_text(pairs_text_cases()[name])
-    got = _pairs_from_text(text)
+    got = pairs_from_text(text)
     want = np.array(json.loads(text), dtype=float).reshape(-1, 2)
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -318,7 +326,7 @@ def test_pairs_from_text_inverts_pairs_text_bit_for_bit(name):
 )
 def test_pairs_from_text_refuses_any_other_text(span):
     with pytest.raises(ValueError):
-        _pairs_from_text(span)
+        pairs_from_text(span)
 
 
 _ZERO_PARTS = ((0.0, 0.0), (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0))
@@ -365,7 +373,7 @@ def test_pair_codec_matches_json_over_zero_runs_and_edge_values(pairs):
     values = pairs.view(complex)
     text = _pairs_text(values)
     assert text == json.dumps(complex_to_pairs(values))
-    got = _pairs_from_text(text)
+    got = pairs_from_text(text)
     assert got.shape == pairs.shape
     assert np.array_equal(got.view(np.uint64), canonical_pairs(text).view(np.uint64))
 
@@ -401,9 +409,9 @@ def test_pair_codec_reads_an_edited_text_as_json_does(pairs, data):
         assert want is None
     if want is None:
         with pytest.raises(ValueError):
-            _pairs_from_text(edited)
+            pairs_from_text(edited)
     else:
-        assert np.array_equal(_pairs_from_text(edited).view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(pairs_from_text(edited).view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("bad", [complex(float("nan"), 0.0), complex(0.0, float("inf")), complex(-float("inf"), 1.0)])

@@ -292,12 +292,37 @@ def test_wf_eval_non_finite_coordinate_is_usage_error(capsys, kind, config):
 
 
 @pytest.mark.parametrize("kind", list(EVAL_SPECS))
+@pytest.mark.parametrize("config", ["[[1e103, 0], [0, 0]]", "[[1e200, 0], [0, 0]]"])
+def test_wf_eval_underflow_at_finite_coordinates_is_zero(capsys, kind, config):
+    # the difference product overflows and the Gaussian factor underflows; log|psi| is about -5e205 or -inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_json(capsys, "wf", "eval", "--spec", EVAL_SPECS[kind], "--config", config)
+    assert report["result"]["value"] == [0.0, 0.0]
+
+
+# log|psi| is about 3304 at [[22.4, 0], [-22.4, 0]] for both
+OVERFLOW_SPECS = {
+    "laughlin": json.dumps({"variant": "laughlin", "m": 1001, "n_electrons": 2}),
+    "hierarchy": json.dumps({"variant": "hierarchy_r1", "a0": 1001, "a1": 2, "b": 1, "n_electrons": 2}),
+}
+
+
+@pytest.mark.parametrize("kind", list(OVERFLOW_SPECS))
 def test_wf_eval_overflow_at_finite_coordinates_is_failure(capsys, kind):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out, err = run(capsys, "wf", "eval", "--spec", EVAL_SPECS[kind], "--config", "[[1e200, 0], [0, 0]]")
+        code, out, err = run(capsys, "wf", "eval", "--spec", OVERFLOW_SPECS[kind], "--config", "[[22.4, 0], [-22.4, 0]]")
     assert code == 1 and out == ""
     assert err.startswith("failure: the wavefunction value") and err.count("\n") == 1
+
+
+def test_wf_gram_exact_past_the_term_bound_is_usage_error(capsys):
+    # m = 1 has n! terms: 39,916,800 at n = 11, within the degree bound of 60
+    specs = json.dumps([{"variant": "laughlin", "m": 1, "n_electrons": 11}])
+    code, out, err = run(capsys, "wf", "gram", "--specs", specs, "--method", "exact")
+    assert code == 2 and out == ""
+    assert err.startswith("error: the expansion") and "bound of 300000 terms" in err and err.count("\n") == 1
 
 
 def test_wf_gram_csv_format(capsys):
@@ -583,6 +608,20 @@ def test_a_read_leaves_no_decoded_array_behind(tmp_path, capsys):
     assert kept < 121 * 121 * 16 / 4  # a quarter of one decoded 121 x 121 matrix
 
 
+def test_refused_allocation_is_one_failure_line():
+    # the process caps its own address space at 2 GB, so the 23.8 GiB dense matrix is refused, never allocated
+    code = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2_000_000_000, 2_000_000_000)); "
+        "from hallrep.cli import main; sys.exit(main(['ladder', 'verify', '--p', '20000']))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))},
+    )
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.startswith("failure: Unable to allocate") and done.stderr.count("\n") == 1
+
+
 def test_commands_in_one_process_write_what_a_fresh_process_writes(capsys):
     argv = ["ladder", "build", "--p", "3", "--k", "2"]
     fresh = subprocess.run(
@@ -750,7 +789,7 @@ def _assert_reads_like_json_load(path):
     matrices = cli._decode_rep_text(text)["result"]["matrices"]
     assert all(isinstance(matrices[name]["entries"], np.ndarray) for name in ("K", "Ep", "Em"))
     got, want = cli._load_rep(str(path)), rep_from_json(json.loads(text)["result"])
-    assert (got.root, got.kind, got.unitary) == (want.root, want.kind, want.unitary)
+    assert (got.root, got.kind) == (want.root, want.kind)
     assert np.array_equal(np.array([got.lam]).view(np.uint64), np.array([want.lam]).view(np.uint64))
     for name in ("raising", "lowering", "k_mat", "e_plus", "e_minus"):
         assert np.array_equal(getattr(got, name).view(np.uint64), getattr(want, name).view(np.uint64)), name

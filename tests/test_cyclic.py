@@ -17,7 +17,6 @@ from hallrep.cyclic import (
     generic_infimum_base,
     intertwiner,
     ladder_from_coefficients,
-    ladder_infimum_base,
     rep_from_json,
     solve_generic_coefficients,
     solve_ladder_magnitudes,
@@ -48,7 +47,7 @@ def test_p1_magnitudes_match_rational_oracle():
 
 
 def test_p1_infimum_base():
-    assert ladder_infimum_base(PrimitiveRoot(1)) == pytest.approx(1.0, abs=1e-14)
+    assert generic_infimum_base(PrimitiveRoot(1), 1) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_base_below_infimum_reports_infimum():
@@ -90,7 +89,7 @@ def test_both_recurrence_forms_agree(p, k):
 )
 def test_magnitudes_affine_in_base(p, off1, off2):
     root = PrimitiveRoot(p)
-    infimum = ladder_infimum_base(root)
+    infimum = generic_infimum_base(root, 1)
     m1 = solve_ladder_magnitudes(root, infimum + off1).magnitudes
     m2 = solve_ladder_magnitudes(root, infimum + off2).magnitudes
     for a, b in zip(m1, m2):
@@ -111,7 +110,7 @@ def test_build_ladder_raising_action_p1():
     third = np.zeros(3)
     third[2] = 1.0
     out = rep.e_plus @ third
-    assert out[0] == rep.a[0]
+    assert out[0] == rep.raising[0]
     assert out[1] == 0 and out[2] == 0
 
 
@@ -179,11 +178,10 @@ def test_wrong_phase_length_rejected():
 def test_solve_generic_p1_passes_relations():
     root = PrimitiveRoot(1)
     rep = solve_generic_coefficients(root, 1.0)
-    assert rep.unitary
     report = verify_relations(rep.k_mat, rep.e_plus, rep.e_minus, root)
     assert report.passed
     assert report.detected_conjugation_sign == -2
-    assert np.array_equal(rep.f, np.conj(np.roll(rep.g, 1)))
+    assert np.array_equal(rep.lowering, np.conj(np.roll(rep.raising, 1)))
 
 
 def test_solve_generic_rejects_nonunit_lambda():
@@ -243,10 +241,10 @@ def test_generic_at_root_power_matches_permuted_ladder():
     root = PrimitiveRoot(2)
     rep = build_ladder(root)
     res = intertwiner(rep, 3)
-    base = abs(res.generic.g[0]) ** 2
+    base = abs(res.generic.raising[0]) ** 2
     solved = solve_generic_coefficients(root, root.power(3), base)
-    assert np.allclose(solved.g, res.generic.g, rtol=0, atol=1e-12)
-    assert np.allclose(solved.f, res.generic.f, rtol=0, atol=1e-12)
+    assert np.allclose(solved.raising, res.generic.raising, rtol=0, atol=1e-12)
+    assert np.allclose(solved.lowering, res.generic.lowering, rtol=0, atol=1e-12)
     assert res.residual < 1e-10
 
 
@@ -263,7 +261,7 @@ def test_cyclicity_p1_scalar():
 def test_cyclicity_detects_zeroed_coefficient():
     root = PrimitiveRoot(1)
     rep = build_ladder(root, base=2.0)
-    a = np.array(rep.a)
+    a = np.array(rep.raising)
     a[1] = 0.0
     broken = ladder_from_coefficients(root, a)
     report = cyclicity_check(broken)
@@ -281,7 +279,7 @@ def test_cyclicity_generic_rep():
     rep = solve_generic_coefficients(root, root.power(1))
     report = cyclicity_check(rep)
     assert report.is_cyclic
-    assert report.epow_scalar == pytest.approx(complex(np.prod(rep.g)), abs=1e-12)
+    assert report.epow_scalar == pytest.approx(complex(np.prod(rep.raising)), abs=1e-12)
     assert report.raising_residual < 1e-10
 
 
@@ -351,7 +349,7 @@ def test_closed_form_weight_chain_matches_the_cumulative_sum(p_and_k, phi, s):
     for lam in (complex(math.cos(phi), math.sin(phi)), root.power(s)):  # random phase, then the q^s lattice
         sums, infimum = weight_chain_oracle(root, lam)
         base = infimum + 0.5
-        squared = np.abs(solve_generic_coefficients(root, lam, base).g) ** 2
+        squared = np.abs(solve_generic_coefficients(root, lam, base).raising) ** 2
         scale = max(1.0, float(squared.max()))  # the cumulative sum's own rounding grows with it
         assert np.max(np.abs(squared - (base + sums))) <= 1e-12 * scale
         assert generic_infimum_base(root, lam) == pytest.approx(infimum, rel=0, abs=1e-12 * scale)
@@ -359,7 +357,7 @@ def test_closed_form_weight_chain_matches_the_cumulative_sum(p_and_k, phi, s):
 
 def test_ladder_infimum_at_p_ten_thousand():
     root = PrimitiveRoot(10_000, 1)
-    assert ladder_infimum_base(root) == pytest.approx(ladder_infimum_formula(root), rel=1e-12)
+    assert generic_infimum_base(root, 1) == pytest.approx(ladder_infimum_formula(root), rel=1e-12)
 
 
 def test_one_type_for_both_forms():
@@ -368,7 +366,8 @@ def test_one_type_for_both_forms():
     generic = solve_generic_coefficients(root, root.power(2))
     assert type(ladder) is type(generic) is CyclicRep
     assert (ladder.kind, generic.kind) == ("ladder", "generic")
-    assert np.array_equal(ladder.f, np.conj(ladder.a)) and ladder.unitary
+    assert np.array_equal(ladder.lowering, np.conj(ladder.raising))
+    assert not any(hasattr(ladder, name) for name in ("a", "g", "f", "unitary"))  # one name per field
     assert_bitwise_equal(ladder.e_minus, ladder.e_plus.conj().T.copy())  # -0.0 of the conjugated zeros too
     for rep in (ladder, generic):
         again = rep.rebuild()
@@ -392,7 +391,7 @@ def test_intertwiner_shift_structure():
     res = intertwiner(rep, 1)
     n = rep.dim
     for m in range(n):
-        expected = rep.a[(res.sigma[m] - 2 - 1) % n]
+        expected = rep.raising[(res.sigma[m] - 2 - 1) % n]
         assert res.generic.e_plus[(m + 1) % n, m] == expected
     off_pattern = res.generic.e_plus.copy()
     for m in range(n):
@@ -416,7 +415,7 @@ def test_rep_json_roundtrip_bit_identical():
     ladder = build_ladder(PrimitiveRoot(2, 3))
     payload = json.loads(json.dumps(ladder.to_json()))
     back = rep_from_json(payload)
-    assert np.array_equal(back.a, ladder.a)
+    assert np.array_equal(back.raising, ladder.raising)
     for name in ("k_mat", "e_plus", "e_minus"):
         assert np.array_equal(getattr(back, name), getattr(ladder, name))
 
@@ -424,8 +423,8 @@ def test_rep_json_roundtrip_bit_identical():
     payload = json.loads(json.dumps(generic.to_json()))
     back = rep_from_json(payload)
     assert back.lam == generic.lam
-    assert np.array_equal(back.g, generic.g)
-    assert np.array_equal(back.f, generic.f)
+    assert np.array_equal(back.raising, generic.raising)
+    assert np.array_equal(back.lowering, generic.lowering)
     for name in ("k_mat", "e_plus", "e_minus"):
         assert np.array_equal(getattr(back, name), getattr(generic, name))
 
@@ -442,7 +441,7 @@ def test_ladder_json_roundtrip_keeps_bits_and_signed_zeros(p, k):
     ladder = build_ladder(PrimitiveRoot(p, k), phases=phases)
     back = rep_from_json(json.loads(json.dumps(ladder.to_json())))
     assert np.signbit(ladder.e_minus.view(float)).any()  # the adjoint holds -0.0 entries
-    assert_bitwise_equal(back.a, ladder.a)
+    assert_bitwise_equal(back.raising, ladder.raising)
     for name in ("k_mat", "e_plus", "e_minus"):
         assert_bitwise_equal(getattr(back, name), getattr(ladder, name))
 
@@ -453,7 +452,7 @@ def test_generic_json_roundtrip_keeps_bits_and_signed_zeros():
     generic = solve_generic_coefficients(root, root.power(3) * 1j, phases=phases)
     back = rep_from_json(json.loads(json.dumps(generic.to_json())))
     assert back.lam == generic.lam
-    for name in ("g", "f", "k_mat", "e_plus", "e_minus"):
+    for name in ("raising", "lowering", "k_mat", "e_plus", "e_minus"):
         assert_bitwise_equal(getattr(back, name), getattr(generic, name))
 
 

@@ -127,7 +127,7 @@ def test_random_monomials_match_dense(p, seed, zero_rows):
 def test_zeroed_coefficient_matches_dense():
     # the ladder with one coefficient zeroed: E+ and E- each have an empty row
     root = PrimitiveRoot(3, 2)
-    a = np.array(build_ladder(root).a)
+    a = np.array(build_ladder(root).raising)
     a[4] = 0.0
     broken = ladder_from_coefficients(root, a)
     report = assert_relations_match_dense(broken.k_mat, broken.e_plus, broken.e_minus, root)
@@ -165,7 +165,7 @@ def test_two_nonzeros_in_a_row_takes_the_dense_path(zeroed, extra):
     # column-repeated is the payload of test_rep_verify_corrupted_file_exits_one;
     # columns-unique fills row 0's second entry into the column a zeroed row left free
     root = PrimitiveRoot(1)
-    a = np.array(build_ladder(root).a)
+    a = np.array(build_ladder(root).raising)
     if zeroed is not None:
         a[zeroed] = 0.0
     rep = ladder_from_coefficients(root, a)

@@ -6,9 +6,9 @@ from hallrep import sampling
 
 def test_blocks_cover_range_in_order():
     spans = list(sampling.blocks(100_001))
-    assert spans[0] == (0, 0, sampling.BLOCK)
-    assert spans[-1][1] + spans[-1][2] == 100_001
-    assert [idx for idx, _, _ in spans] == list(range(len(spans)))
+    assert spans[0] == (0, sampling.BLOCK)
+    assert spans[-1] == (3 * sampling.BLOCK, 100_001 - 3 * sampling.BLOCK)
+    assert [start for start, _ in spans] == [sum(count for _, count in spans[:i]) for i in range(len(spans))]
 
 
 @pytest.mark.parametrize("n_coords", [1, 2, 3])

@@ -24,6 +24,8 @@ from hallrep.wavefunctions import (
     _auxiliary_decay_rate,
     _gaussian_stripped_values,
     _jastrow_batch,
+    _log_abs_stripped,
+    _value_at,
 )
 from hallrep.hierarchy import FillingFactor, PositiveCF, blok_wen_sequence
 from quadrature_oracle import hierarchy_r1_quadrature
@@ -95,6 +97,29 @@ def test_laughlin_eval_rejects_even_exponent():
         laughlin_eval(3, [1.0])
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(complex_coords, min_size=2, max_size=4), st.sampled_from([1, 3, 5]), st.sampled_from([1, -1]))
+def test_log_of_the_factors_matches_a_finite_value(coords, m, b):
+    # the sum of logs that decides an underflowed value, checked where the product is finite
+    z = np.array(coords, dtype=complex)
+    for spec in (LaughlinSpec(m, z.size), HierarchyR1Spec(m + 2, 2, b, z.size)):
+        value = _value_at(spec, z)
+        with np.errstate(divide="ignore"):
+            log_abs = _log_abs_stripped(spec, z) - 0.5 * float(np.sum(np.abs(z) ** 2))
+        if value == 0:  # a zero coordinate or difference, or a product that underflowed
+            assert log_abs < math.log(np.finfo(float).tiny)
+        else:
+            assert log_abs == pytest.approx(math.log(abs(value)), rel=0, abs=1e-12 * max(1.0, abs(log_abs)))
+
+
+def test_value_past_the_float_range():
+    # underflow to 0 where the product would be inf * 0; overflow stays an error
+    assert laughlin_eval(3, [1e103, 0]) == 0 and hierarchy_r1_eval(HierarchyR1Spec(3, 2, -1, 2), [1e200, 0]) == 0
+    for spec in (LaughlinSpec(1001, 2), HierarchyR1Spec(1001, 2, 1, 2)):
+        with pytest.raises(ArithmeticError, match="not finite"):
+            _value_at(spec, [22.4, -22.4])
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.lists(complex_coords, min_size=2, max_size=4),
@@ -118,6 +143,14 @@ def test_laughlin_antisymmetry_under_transposition(coords, m, data):
 @pytest.mark.parametrize("m,n", [(1, 2), (3, 2), (5, 2), (1, 3), (3, 3)])
 def test_monomial_expansion_matches_bruteforce_oracle(m, n):
     assert jastrow_monomials(m, n) == oracle_monomials(m, n)
+
+
+def test_expansion_refuses_a_table_past_its_bound(monkeypatch):
+    # the largest tables: 1,200 entries at m = 1, n = 6 and 10,608 at m = 3, n = 5
+    monkeypatch.setattr(wavefunctions, "_MAX_EXPANSION_TERMS", 5000)
+    assert len(jastrow_monomials(1, 6)) == 720
+    with pytest.raises(ValueError, match="bound of 5000 terms"):
+        jastrow_monomials(3, 5)
 
 
 def test_exact_inner_products_frozen_values():
