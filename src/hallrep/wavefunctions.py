@@ -218,9 +218,19 @@ def _log_abs_stripped(spec: WavefunctionSpec, z: np.ndarray) -> float:
     """
     i, j = np.triu_indices(z.size, 1)
     laughlin = isinstance(spec, LaughlinSpec)
-    out = (spec.m if laughlin else spec.a0) * float(np.sum(np.log(np.abs(z[i] - z[j]))))
+    out = (spec.m if laughlin else spec.a0) * float(np.sum(_log_modulus(z[i] - z[j])))
     if not laughlin:
-        out += math.log(math.pi / _auxiliary_decay_rate(spec.a0)) + float(np.sum(np.log(np.abs(z))))
+        out += math.log(math.pi / _auxiliary_decay_rate(spec.a0)) + float(np.sum(_log_modulus(z)))
+    return out
+
+
+def _log_modulus(w: np.ndarray) -> np.ndarray:
+    """log|w|, full precision also where |w| is subnormal (np.abs rounds it to a multiple of 2^-1074)."""
+    modulus = np.abs(w)
+    out = np.log(modulus)
+    below = modulus < np.finfo(float).tiny
+    # times 2^1000, exactly, a modulus below 2^-1022 is a normal float
+    out[below] = np.log(np.abs(w[below] * 2.0**1000)) - 1000 * math.log(2)
     return out
 
 

@@ -1,10 +1,11 @@
 import json
 import math
+from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hallrep import sampling, wavefunctions
@@ -97,19 +98,54 @@ def test_laughlin_eval_rejects_even_exponent():
         laughlin_eval(3, [1.0])
 
 
+def oracle_factor_logs(spec, z):
+    """log|f| of each factor of psi at z, from the exact rational |f|^2 of the float coordinates.
+
+    The differences to the exponent; for the hierarchy pi*a0 and each -z_j;
+    the Gaussian factor last.  -inf for a zero factor.
+    """
+    def log_modulus(re, im):
+        square = Fraction(re) ** 2 + Fraction(im) ** 2
+        if not square:
+            return -math.inf
+        k = square.numerator.bit_length() - square.denominator.bit_length()  # square / 2^k lies in [1/2, 2]
+        return 0.5 * (math.log(square / Fraction(2) ** k) + k * math.log(2))
+
+    laughlin = isinstance(spec, LaughlinSpec)
+    exponent = spec.m if laughlin else spec.a0
+    logs = [
+        exponent * log_modulus(Fraction(a.real) - Fraction(b.real), Fraction(a.imag) - Fraction(b.imag))
+        for a, b in combinations(z, 2)
+    ]
+    if not laughlin:
+        logs += [math.log(math.pi * spec.a0)] + [log_modulus(c.real, c.imag) for c in z]
+    return logs + [-0.5 * float(np.sum(np.abs(z) ** 2))]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(complex_coords, min_size=2, max_size=4), st.sampled_from([1, 3, 5]), st.sampled_from([1, -1]))
+@example([0j, 9.028681498901223e-108 + 0j], 3, 1)  # a subnormal value, 2e-4 off in relative terms
+@example([5e-324 + 5e-324j, 0.13 - 0.59j], 5, -1)  # a coordinate of subnormal modulus
 def test_log_of_the_factors_matches_a_finite_value(coords, m, b):
-    # the sum of logs that decides an underflowed value, checked where the product is finite
+    # the sum of logs that decides an underflowed value against exact moduli, and the finite
+    # value against both within the rounding of its float product
     z = np.array(coords, dtype=complex)
     for spec in (LaughlinSpec(m, z.size), HierarchyR1Spec(m + 2, 2, b, z.size)):
-        value = _value_at(spec, z)
+        logs = oracle_factor_logs(spec, z)
+        want = math.fsum(logs)
         with np.errstate(divide="ignore"):
-            log_abs = _log_abs_stripped(spec, z) - 0.5 * float(np.sum(np.abs(z) ** 2))
-        if value == 0:  # a zero coordinate or difference, or a product that underflowed
-            assert log_abs < math.log(np.finfo(float).tiny)
+            log_abs = _log_abs_stripped(spec, z) + logs[-1]
+        assert log_abs == pytest.approx(want, rel=0, abs=1e-12 * max(1.0, abs(want)))
+        value = _value_at(spec, z)
+        if sum(min(0.0, x) for x in logs) >= math.log(np.finfo(float).tiny):
+            # no partial product leaves the normal range, in whatever order the factors are taken
+            assert math.log(abs(value)) == pytest.approx(want, rel=0, abs=1e-12 * max(1.0, abs(want)))
         else:
-            assert log_abs == pytest.approx(math.log(abs(value)), rel=0, abs=1e-12 * max(1.0, abs(log_abs)))
+            # a product rounded below the normal range errs by up to half of 2^-1074, grown by the
+            # factors after it: four real products in each of at most eight complex products per
+            # factor, each error grown at most eight-fold by the squarings of a power
+            slack = 128 * len(logs) * math.exp(sum(max(0.0, x) for x in logs)) * 2.0**-1074
+            assert abs(abs(value) - math.exp(want)) <= 1e-12 * math.exp(want) + slack
 
 
 def test_value_past_the_float_range():
